@@ -1926,8 +1926,18 @@ static PyTypeObject TriangelKernelType = {
  * semantics, MSHR min-ready bookkeeping, DRAM bank/channel timing and
  * the simple-core clock.  The Python batched driver stays the
  * bit-exact oracle; repro.sim.driver loads a snapshot of the live
- * hierarchy, feeds whole BatchedTrace chunks per run() call, and
- * exports all state back on detach.                                   */
+ * hierarchy, feeds whole BatchedTrace chunks per run() call, drains
+ * the prefetch queue and MSHR file with flush() at the end of a run,
+ * and exports the cache/DRAM/MSHR state back only when it is read.
+ *
+ * Prefetchers without a C train twin run as DRV_PF_PYTHON: the loop
+ * calls the Python train(pc, address, cycle, result) bound method once
+ * per load — result is one of five reused AccessResult objects, mutated
+ * exactly as the Python driver mutates its own — and on_cache_eviction
+ * (block) once per L1 eviction (only when the prefetcher overrides the
+ * base no-op).  A callback that raises sets cb_failed: no further
+ * Python call is made, the current access completes in C, and run() or
+ * flush() returns NULL with the original exception.                  */
 
 #define CB_PREFETCHED 1u
 #define CB_USEFUL 2u
@@ -1941,7 +1951,15 @@ enum {
     DRV_PF_GAZE = 2,
     DRV_PF_PMP = 3,
     DRV_PF_TRIANGEL = 4,
+    DRV_PF_PYTHON = 5,
 };
+
+/* Index of the reused AccessResult handed to a Python train callback
+ * (the Python driver's result_l1 / _l2 / _llc / _dram / _inflight). */
+enum { RES_L1, RES_L2, RES_LLC, RES_DRAM, RES_INFLIGHT, RES_COUNT };
+
+/* Interned attribute names of the Python callback protocol. */
+static PyObject *str_latency, *str_served, *str_late, *str_address, *str_hint;
 
 /* One set-associative cache level: rows stored LRU -> MRU (index 0 is
  * the eviction victim, mirroring dict insertion order in the oracle). */
@@ -2067,9 +2085,14 @@ typedef struct {
     double *missv;            /* outstanding misses (unsorted)         */
     int miss_n, miss_cap;
     double misses_min;        /* INFINITY == none                      */
-    /* prefetcher twin (borrowed train state, owned reference)         */
+    /* prefetcher twin (borrowed train state, owned reference); for
+     * DRV_PF_PYTHON pf_kernel is the bound train method instead       */
     int ptype;
     PyObject *pf_kernel;
+    PyObject *py_evict;              /* on_cache_eviction or NULL      */
+    PyObject *py_hint_l1;            /* PrefetchHint.L1                */
+    PyObject *py_results[RES_COUNT]; /* reused AccessResult objects    */
+    int cb_failed;                   /* a callback raised              */
     /* decoded-trace identity cache                                    */
     PyObject *tr_key_addr, *tr_key_block;
     Py_ssize_t tr_len, tr_cap;
@@ -2086,6 +2109,21 @@ typedef struct {
     long long dr_requests, dr_demand, dr_prefetch;
     long long dr_row_hits, dr_row_misses, dr_queue_wait, dr_service;
 } DriverKernel;
+
+/* Forward an L1 eviction to the Python prefetcher's on_cache_eviction
+ * (DRV_PF_PYTHON only; skipped once a callback has raised). */
+static void
+drv_py_evict(DriverKernel *d, long long block)
+{
+    if (d->cb_failed)
+        return;
+    PyObject *b = PyLong_FromLongLong(block);
+    PyObject *r = b ? PyObject_CallOneArg(d->py_evict, b) : NULL;
+    Py_XDECREF(b);
+    if (r == NULL)
+        d->cb_failed = 1;
+    Py_XDECREF(r);
+}
 
 /* Fill `block` into level `c` (guaranteed absent).  Replicates
  * Cache.fill_absent: victim accounting, the per-level eviction
@@ -2110,6 +2148,8 @@ drv_fill(DriverKernel *d, DCache *c, long long block,
                 gaze_evict_impl((GazeKernel *)d->pf_kernel, vtag);
             else if (d->ptype == DRV_PF_PMP)
                 pmp_evict_impl((PMPKernel *)d->pf_kernel, vtag);
+            else if (d->py_evict != NULL)
+                drv_py_evict(d, vtag);
         }
         memmove(r.tag, r.tag + 1, sizeof(long long) * (size_t)(r.n - 1));
         memmove(r.flg, r.flg + 1, sizeof(unsigned char) * (size_t)(r.n - 1));
@@ -2336,10 +2376,12 @@ drv_mshr_complete(DriverKernel *d, long long cycle)
 
 /* The demand miss chain shared by the fused and per-access loops
  * (everything below an L1 miss: L2 probe, LLC probe, DRAM access and
- * the refills).  Returns the demand latency. */
+ * the refills).  Returns the demand latency; *served_by reports the
+ * serving level (RES_L2 / RES_LLC / RES_DRAM) and *first_use whether an
+ * L2 hit was the first demand use of a prefetched block. */
 static long long
 drv_demand_miss(DriverKernel *d, long long block, long long issue_cycle,
-                int is_store)
+                int is_store, int *served_by, int *first_use)
 {
     d->l1.misses++;
     d->st_l1_misses++;
@@ -2349,11 +2391,14 @@ drv_demand_miss(DriverKernel *d, long long block, long long issue_cycle,
         unsigned char f = r2.flg[p2];
         dcrow_touch(&r2, p2);
         d->l2.hits++;
+        *served_by = RES_L2;
+        *first_use = 0;
         if (f & CB_PREFETCHED) {
             if (!(f & CB_USEFUL))
                 f |= CB_USEFUL;
             if (!(f & CB_COUNTED)) {
                 f |= CB_COUNTED;
+                *first_use = 1;
                 d->st_pf_useful_l2++;
                 if (f & CB_FROM_DRAM)
                     d->st_pf_covered++;
@@ -2381,6 +2426,7 @@ drv_demand_miss(DriverKernel *d, long long block, long long issue_cycle,
         r3.flg[r3.n - 1] = f;
         latency = d->lat_llc;
         d->st_llc_hits++;
+        *served_by = RES_LLC;
     } else {
         d->llc.misses++;
         d->st_llc_misses++;
@@ -2390,12 +2436,81 @@ drv_demand_miss(DriverKernel *d, long long block, long long issue_cycle,
         d->st_dram_reads++;
         from_dram = CB_FROM_DRAM;
         drv_fill(d, &d->llc, block, CB_FROM_DRAM, 3);
+        *served_by = RES_DRAM;
     }
     drv_fill(d, &d->l2, block, from_dram, 2);
     drv_fill(d, &d->l1, block,
              (unsigned char)(from_dram | (is_store ? CB_DIRTY : 0)), 1);
     d->st_latency += latency;
     return latency;
+}
+
+/* CacheHierarchy._issue_prefetch over one packed PQ entry
+ * (block << 1 | to_l1) at `cycle`: identical branch structure and
+ * statistics, shared by the per-access drain and flush(). */
+static void
+drv_issue_prefetch(DriverKernel *d, long long p, long long cycle)
+{
+    long long pblock = p >> 1;
+    if (dc_contains(&d->l1, pblock) || drv_mshr_find(d, pblock) >= 0) {
+        d->st_pf_redundant++;
+        return;
+    }
+    DCRow r2 = dc_row(&d->l2, pblock);
+    int p2 = dcrow_find(&r2, pblock);
+    int to_l1 = (int)(p & 1);
+    if (!to_l1 && p2 >= 0) {
+        d->st_pf_redundant++;
+        return;
+    }
+    d->st_pf_issued++;
+    unsigned char from_dram = 0;
+    long long source_latency;
+    if (p2 >= 0) {
+        source_latency = d->lat_l2_source;
+        dcrow_touch(&r2, p2);
+    } else {
+        DCRow r3 = dc_row(&d->llc, pblock);
+        int p3 = dcrow_find(&r3, pblock);
+        if (p3 >= 0) {
+            dcrow_touch(&r3, p3);
+            source_latency = d->lat_llc_source;
+        } else {
+            double bus_done = drv_dram(d, pblock, cycle, 1);
+            source_latency = d->lat_llc_source
+                             + (long long)nearbyint(bus_done - (double)cycle);
+            from_dram = CB_FROM_DRAM;
+            drv_fill(d, &d->llc, pblock, CB_FROM_DRAM, 3);
+        }
+    }
+    if (to_l1) {
+        /* has_free_entry: expire-and-discard, then the capacity check. */
+        if (d->mshr_n && cycle >= d->mshr_min_ready)
+            drv_mshr_expire_discard(d, cycle);
+        if (d->mshr_n >= d->mshr_cap) {
+            d->st_pf_drop_mshr++;
+            if (!dc_contains(&d->l2, pblock)) {
+                drv_fill(d, &d->l2, pblock,
+                         (unsigned char)(CB_PREFETCHED | from_dram), 2);
+                d->st_pf_fill_l2++;
+            }
+            return;
+        }
+        long long ready = cycle + source_latency;
+        d->mshr_block[d->mshr_n] = pblock;
+        d->mshr_ready[d->mshr_n] = ready;
+        d->mshr_dram[d->mshr_n] = from_dram ? 1 : 0;
+        d->mshr_n++;
+        if (ready < d->mshr_min_ready)
+            d->mshr_min_ready = ready;
+        d->st_pf_fill_l1++;
+    } else if (!dc_contains(&d->l2, pblock)) {
+        drv_fill(d, &d->l2, pblock,
+                 (unsigned char)(CB_PREFETCHED | from_dram), 2);
+        d->st_pf_fill_l2++;
+    } else {
+        d->st_pf_redundant++;
+    }
 }
 
 /* In-process train dispatch (the flat protocol without the Python
@@ -2432,6 +2547,130 @@ drv_train(DriverKernel *d, long long pc, long long address,
     default:
         return -1;
     }
+}
+
+/* Append up to `cnt` packed prefetches to the PQ, with push()'s
+ * bookkeeping batched per call as enqueue_prefetches does. */
+static void
+drv_enqueue(DriverKernel *d, const long long *buf, int cnt)
+{
+    int accepted = 0;
+    for (int i = 0; i < cnt; i++) {
+        if (d->pq_n < d->pq_cap) {
+            int tail = d->pq_head + d->pq_n;
+            if (tail >= d->pq_cap)
+                tail -= d->pq_cap;
+            d->pq[tail] = buf[i];
+            d->pq_n++;
+            accepted++;
+        }
+    }
+    d->st_pq_enq += accepted;
+    d->st_pf_generated += cnt;
+    if (accepted != cnt) {
+        d->st_pq_drop += cnt - accepted;
+        d->st_pf_drop_q += cnt - accepted;
+    }
+}
+
+static int
+set_long_attr(PyObject *obj, PyObject *name, long long value)
+{
+    PyObject *v = PyLong_FromLongLong(value);
+    if (v == NULL)
+        return -1;
+    int rc = PyObject_SetAttr(obj, name, v);
+    Py_DECREF(v);
+    return rc;
+}
+
+/* One DRV_PF_PYTHON train step, the Python driver's object-protocol
+ * branch: update the reused result exactly as the Python driver does
+ * for the serving level, call train(pc, addr, cycle, result), and
+ * enqueue each accepted request packed as
+ * (address >> 6) << 1 | (hint is PrefetchHint.L1). */
+static void
+drv_py_train(DriverKernel *d, long long pc, long long addr, long long cycle,
+             long long latency, int served_by, int first_use)
+{
+    PyObject *result = d->py_results[served_by];
+    switch (served_by) {
+    case RES_L1:
+    case RES_L2:
+        if (PyObject_SetAttr(result, str_served,
+                             first_use ? Py_True : Py_False) < 0)
+            goto fail;
+        break;
+    case RES_DRAM:
+        if (set_long_attr(result, str_latency, latency) < 0)
+            goto fail;
+        break;
+    case RES_INFLIGHT:
+        /* C MSHR entries are always prefetches: served and late. */
+        if (set_long_attr(result, str_latency, latency) < 0
+            || PyObject_SetAttr(result, str_served, Py_True) < 0
+            || PyObject_SetAttr(result, str_late, Py_True) < 0)
+            goto fail;
+        break;
+    default:
+        break;
+    }
+    PyObject *args[4] = {
+        PyLong_FromLongLong(pc), PyLong_FromLongLong(addr),
+        PyLong_FromLongLong(cycle), result,
+    };
+    PyObject *ret = NULL;
+    if (args[0] && args[1] && args[2])
+        ret = PyObject_Vectorcall(d->pf_kernel, args, 4, NULL);
+    Py_XDECREF(args[0]);
+    Py_XDECREF(args[1]);
+    Py_XDECREF(args[2]);
+    if (ret == NULL)
+        goto fail;
+    int truth = PyObject_IsTrue(ret);
+    if (truth <= 0) {
+        Py_DECREF(ret);
+        if (truth < 0)
+            goto fail;
+        return;
+    }
+    PyObject *seq = PySequence_Fast(ret, "train() must return an iterable");
+    Py_DECREF(ret);
+    if (seq == NULL)
+        goto fail;
+    Py_ssize_t total = PySequence_Fast_GET_SIZE(seq);
+    long long accepted = 0;
+    for (Py_ssize_t i = 0; i < total && d->pq_n < d->pq_cap; i++) {
+        PyObject *request = PySequence_Fast_GET_ITEM(seq, i);
+        PyObject *a = PyObject_GetAttr(request, str_address);
+        long long address = a ? PyLong_AsLongLong(a) : -1;
+        Py_XDECREF(a);
+        if (address == -1 && PyErr_Occurred())
+            goto fail_seq;
+        PyObject *hint = PyObject_GetAttr(request, str_hint);
+        if (hint == NULL)
+            goto fail_seq;
+        long long packed = (address >> 6) * 2 + (hint == d->py_hint_l1);
+        Py_DECREF(hint);
+        int tail = d->pq_head + d->pq_n;
+        if (tail >= d->pq_cap)
+            tail -= d->pq_cap;
+        d->pq[tail] = packed;
+        d->pq_n++;
+        accepted++;
+    }
+    Py_DECREF(seq);
+    d->st_pq_enq += accepted;
+    d->st_pf_generated += total;
+    if (accepted != total) {
+        d->st_pq_drop += total - accepted;
+        d->st_pf_drop_q += total - accepted;
+    }
+    return;
+fail_seq:
+    Py_DECREF(seq);
+fail:
+    d->cb_failed = 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2810,8 +3049,9 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                 d->st_latency += lat_l1;
                 latency = lat_l1;
             } else {
+                int served_by, first_use;
                 latency = drv_demand_miss(d, block, (long long)d->issue,
-                                          is_store);
+                                          is_store, &served_by, &first_use);
             }
             drv_complete(d, latency);
         }
@@ -2839,7 +3079,7 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
             int is_store = kind == 1;
 
             if (d->pq_n) {
-                /* Packed PQ drain (_issue_prefetch inlined). */
+                /* Packed PQ drain (issue_queued_prefetches). */
                 int issued = 0;
                 while (d->pq_n && issued < d->pq_drain) {
                     long long p = d->pq[d->pq_head];
@@ -2848,84 +3088,14 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                         d->pq_head = 0;
                     d->pq_n--;
                     issued++;
-                    long long pblock = p >> 1;
-                    if (dc_contains(&d->l1, pblock)
-                        || drv_mshr_find(d, pblock) >= 0) {
-                        d->st_pf_redundant++;
-                        continue;
-                    }
-                    DCRow r2 = dc_row(&d->l2, pblock);
-                    int p2 = dcrow_find(&r2, pblock);
-                    int to_l1 = (int)(p & 1);
-                    if (!to_l1 && p2 >= 0) {
-                        d->st_pf_redundant++;
-                        continue;
-                    }
-                    d->st_pf_issued++;
-                    unsigned char from_dram = 0;
-                    long long source_latency;
-                    if (p2 >= 0) {
-                        source_latency = d->lat_l2_source;
-                        dcrow_touch(&r2, p2);
-                    } else {
-                        DCRow r3 = dc_row(&d->llc, pblock);
-                        int p3 = dcrow_find(&r3, pblock);
-                        if (p3 >= 0) {
-                            dcrow_touch(&r3, p3);
-                            source_latency = d->lat_llc_source;
-                        } else {
-                            double bus_done =
-                                drv_dram(d, pblock, issue_cycle, 1);
-                            source_latency =
-                                d->lat_llc_source
-                                + (long long)nearbyint(
-                                      bus_done - (double)issue_cycle);
-                            from_dram = CB_FROM_DRAM;
-                            drv_fill(d, &d->llc, pblock, CB_FROM_DRAM, 3);
-                        }
-                    }
-                    if (to_l1) {
-                        /* has_free_entry: expire-and-discard, then the
-                         * capacity check. */
-                        if (d->mshr_n && issue_cycle >= d->mshr_min_ready)
-                            drv_mshr_expire_discard(d, issue_cycle);
-                        if (d->mshr_n >= d->mshr_cap) {
-                            d->st_pf_drop_mshr++;
-                            if (!dc_contains(&d->l2, pblock)) {
-                                drv_fill(d, &d->l2, pblock,
-                                         (unsigned char)(CB_PREFETCHED
-                                                         | from_dram),
-                                         2);
-                                d->st_pf_fill_l2++;
-                            }
-                            continue;
-                        }
-                        long long ready = issue_cycle + source_latency;
-                        d->mshr_block[d->mshr_n] = pblock;
-                        d->mshr_ready[d->mshr_n] = ready;
-                        d->mshr_dram[d->mshr_n] = from_dram ? 1 : 0;
-                        d->mshr_n++;
-                        if (ready < d->mshr_min_ready)
-                            d->mshr_min_ready = ready;
-                        d->st_pf_fill_l1++;
-                    } else {
-                        if (!dc_contains(&d->l2, pblock)) {
-                            drv_fill(d, &d->l2, pblock,
-                                     (unsigned char)(CB_PREFETCHED
-                                                     | from_dram),
-                                     2);
-                            d->st_pf_fill_l2++;
-                        } else {
-                            d->st_pf_redundant++;
-                        }
-                    }
+                    drv_issue_prefetch(d, p, issue_cycle);
                 }
             }
 
             /* Inlined demand_access. */
             d->st_demand++;
             long long latency;
-            int l1_level = 0;
+            int served_by = RES_L1, first_use = 0;
             int infl = -1;
             if (d->mshr_n) {
                 if (issue_cycle >= d->mshr_min_ready)
@@ -2957,7 +3127,7 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                 if (fl & CB_FROM_DRAM)
                     d->st_pf_covered++;
                 d->st_latency += latency;
-                l1_level = 1;
+                served_by = RES_INFLIGHT;
             } else {
                 DCRow r1 = dc_row(&d->l1, block);
                 int p1 = dcrow_find(&r1, block);
@@ -2970,6 +3140,7 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                             f |= CB_USEFUL;
                         if (!(f & CB_COUNTED)) {
                             f |= CB_COUNTED;
+                            first_use = 1;
                             d->st_pf_useful_l1++;
                             if (f & CB_FROM_DRAM)
                                 d->st_pf_covered++;
@@ -2981,39 +3152,36 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                     d->st_l1_hits++;
                     d->st_latency += lat_l1;
                     latency = lat_l1;
-                    l1_level = 1;
                 } else {
-                    latency =
-                        drv_demand_miss(d, block, issue_cycle, is_store);
+                    latency = drv_demand_miss(d, block, issue_cycle,
+                                              is_store, &served_by,
+                                              &first_use);
                 }
             }
             drv_complete(d, latency);
 
-            if (kind == 0) {
-                const long long *buf = NULL;
-                int cnt = drv_train(d, pc, address, issue_cycle, latency,
-                                    l1_level, &buf);
-                if (cnt > 0) {
-                    int accepted = 0;
-                    for (int i = 0; i < cnt; i++) {
-                        if (d->pq_n < d->pq_cap) {
-                            int tail = d->pq_head + d->pq_n;
-                            if (tail >= d->pq_cap)
-                                tail -= d->pq_cap;
-                            d->pq[tail] = buf[i];
-                            d->pq_n++;
-                            accepted++;
-                        }
-                    }
-                    d->st_pq_enq += accepted;
-                    d->st_pf_generated += cnt;
-                    if (accepted != cnt) {
-                        d->st_pq_drop += cnt - accepted;
-                        d->st_pf_drop_q += cnt - accepted;
-                    }
+            if (kind == 0 && !d->cb_failed) {
+                if (d->ptype == DRV_PF_PYTHON) {
+                    drv_py_train(d, pc, address, issue_cycle, latency,
+                                 served_by, first_use);
+                } else {
+                    const long long *buf = NULL;
+                    int l1_hit =
+                        served_by == RES_L1 || served_by == RES_INFLIGHT;
+                    int cnt = drv_train(d, pc, address, issue_cycle,
+                                        latency, l1_hit, &buf);
+                    if (cnt > 0)
+                        drv_enqueue(d, buf, cnt);
                 }
             }
+            if (d->cb_failed)
+                break;
         }
+    }
+    if (d->cb_failed) {
+        /* A Python callback raised: its exception is already set. */
+        d->cb_failed = 0;
+        return NULL;
     }
     DRV_CHECK(d);
     return Py_BuildValue("(nLLi)", index, replays, executed, yielded);
@@ -3074,12 +3242,22 @@ drv_free_buffers(DriverKernel *d)
 }
 
 static void
+drv_clear_refs(DriverKernel *d)
+{
+    Py_CLEAR(d->pf_kernel);
+    Py_CLEAR(d->py_evict);
+    Py_CLEAR(d->py_hint_l1);
+    for (int i = 0; i < RES_COUNT; i++)
+        Py_CLEAR(d->py_results[i]);
+    Py_CLEAR(d->tr_key_addr);
+    Py_CLEAR(d->tr_key_block);
+}
+
+static void
 Driver_dealloc(DriverKernel *d)
 {
     drv_free_buffers(d);
-    Py_XDECREF(d->pf_kernel);
-    Py_XDECREF(d->tr_key_addr);
-    Py_XDECREF(d->tr_key_block);
+    drv_clear_refs(d);
     Py_TYPE(d)->tp_free((PyObject *)d);
 }
 
@@ -3099,7 +3277,8 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
         "dram_channels", "dram_banks", "dram_row_div", "dram_row_hit",
         "dram_row_miss", "dram_transfer",
         "width", "fetch_increment", "rob", "lq", "miss_limit",
-        "miss_threshold", "ptype", "kernel", NULL,
+        "miss_threshold", "ptype", "kernel", "evict", "results", "hint_l1",
+        NULL,
     };
     int l1_sets, l1_ways, l2_sets, l2_ways, llc_sets, llc_ways;
     long long lat_l1, lat_l2, lat_llc, lat_l2_source, lat_llc_source;
@@ -3113,16 +3292,16 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
     int miss_limit;
     long long miss_threshold;
     int ptype;
-    PyObject *kernel;
+    PyObject *kernel, *evict, *results, *hint_l1;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "iiiiiiLLLLLiiiiiLLLdidLLiLiO", kwlist,
+            args, kwds, "iiiiiiLLLLLiiiiiLLLdidLLiLiOOOO", kwlist,
             &l1_sets, &l1_ways, &l2_sets, &l2_ways, &llc_sets, &llc_ways,
             &lat_l1, &lat_l2, &lat_llc, &lat_l2_source, &lat_llc_source,
             &mshr_capacity, &pq_capacity, &pq_drain,
             &dram_channels, &dram_banks, &dram_row_div, &dram_row_hit,
             &dram_row_miss, &dram_transfer,
             &width, &fetch_increment, &rob, &lq, &miss_limit,
-            &miss_threshold, &ptype, &kernel))
+            &miss_threshold, &ptype, &kernel, &evict, &results, &hint_l1))
         return -1;
     if (!drv_pow2(l1_sets) || !drv_pow2(l2_sets) || !drv_pow2(llc_sets)
         || l1_ways < 1 || l2_ways < 1 || llc_ways < 1) {
@@ -3153,11 +3332,30 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
     case DRV_PF_TRIANGEL:
         want = &TriangelKernelType;
         break;
+    case DRV_PF_PYTHON:
+        break;
     default:
         PyErr_SetString(PyExc_ValueError, "unknown ptype");
         return -1;
     }
-    if (want == NULL) {
+    if (ptype == DRV_PF_PYTHON) {
+        if (!PyCallable_Check(kernel)
+            || (evict != Py_None && !PyCallable_Check(evict))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "ptype 5 takes a callable kernel (train) and "
+                            "evict=None or a callable");
+            return -1;
+        }
+        if (!PyTuple_Check(results) || PyTuple_GET_SIZE(results) != RES_COUNT) {
+            PyErr_SetString(PyExc_TypeError,
+                            "results must be a 5-tuple of AccessResult");
+            return -1;
+        }
+    } else if (evict != Py_None || results != Py_None) {
+        PyErr_SetString(PyExc_TypeError,
+                        "evict and results are for ptype 5 only");
+        return -1;
+    } else if (want == NULL) {
         if (kernel != Py_None) {
             PyErr_SetString(PyExc_TypeError, "ptype 0 takes kernel=None");
             return -1;
@@ -3169,9 +3367,7 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
     }
 
     drv_free_buffers(self);
-    Py_CLEAR(self->pf_kernel);
-    Py_CLEAR(self->tr_key_addr);
-    Py_CLEAR(self->tr_key_block);
+    drv_clear_refs(self);
 
     if (dc_init(&self->l1, l1_sets, l1_ways) < 0
         || dc_init(&self->l2, l2_sets, l2_ways) < 0
@@ -3241,9 +3437,22 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
         goto nomem;
 
     self->ptype = ptype;
-    if (want != NULL) {
+    self->cb_failed = 0;
+    if (want != NULL || ptype == DRV_PF_PYTHON) {
         Py_INCREF(kernel);
         self->pf_kernel = kernel;
+    }
+    if (ptype == DRV_PF_PYTHON) {
+        if (evict != Py_None) {
+            Py_INCREF(evict);
+            self->py_evict = evict;
+        }
+        Py_INCREF(hint_l1);
+        self->py_hint_l1 = hint_l1;
+        for (int i = 0; i < RES_COUNT; i++) {
+            self->py_results[i] = PyTuple_GET_ITEM(results, i);
+            Py_INCREF(self->py_results[i]);
+        }
     }
     drv_zero_stats(self);
     return 0;
@@ -3595,24 +3804,32 @@ Driver_export_mshr(DriverKernel *d, PyObject *Py_UNUSED(ignored))
     return Py_BuildValue("(NN)", lst, mn);
 }
 
+/* flush(cycle): CacheHierarchy.flush_prefetches — issue every queued
+ * prefetch at `cycle`, then complete every MSHR fill due by
+ * cycle + 10**9 into the L1 (eviction callbacks included). */
 static PyObject *
-Driver_export_pq(DriverKernel *d, PyObject *Py_UNUSED(ignored))
+Driver_flush(DriverKernel *d, PyObject *arg)
 {
-    PyObject *lst = PyList_New(d->pq_n);
-    if (!lst)
+    long long cycle = PyLong_AsLongLong(arg);
+    if (cycle == -1 && PyErr_Occurred())
         return NULL;
-    for (int i = 0; i < d->pq_n; i++) {
-        int idx = d->pq_head + i;
-        if (idx >= d->pq_cap)
-            idx -= d->pq_cap;
-        PyObject *v = PyLong_FromLongLong(d->pq[idx]);
-        if (!v) {
-            Py_DECREF(lst);
-            return NULL;
-        }
-        PyList_SET_ITEM(lst, i, v);
+    while (d->pq_n) {
+        long long p = d->pq[d->pq_head];
+        d->pq_head++;
+        if (d->pq_head >= d->pq_cap)
+            d->pq_head = 0;
+        d->pq_n--;
+        drv_issue_prefetch(d, p, cycle);
     }
-    return Py_BuildValue("(NL)", lst, (long long)d->issue);
+    long long done = cycle + 1000000000LL;
+    if (d->mshr_n && done >= d->mshr_min_ready)
+        drv_mshr_complete(d, done);
+    if (d->cb_failed) {
+        d->cb_failed = 0;
+        return NULL;
+    }
+    DRV_CHECK(d);
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -3667,8 +3884,8 @@ static PyMethodDef Driver_methods[] = {
      "-> (open_rows, bank_busy, channel_busy) with defaults omitted."},
     {"export_mshr", (PyCFunction)Driver_export_mshr, METH_NOARGS,
      "-> ([(block, ready, from_dram), ...], min_ready | None)."},
-    {"export_pq", (PyCFunction)Driver_export_pq, METH_NOARGS,
-     "-> ([packed, ...], convert_cycle)."},
+    {"flush", (PyCFunction)Driver_flush, METH_O,
+     "flush(cycle): issue every queued prefetch, complete every fill."},
     {"drain_stats", (PyCFunction)Driver_drain_stats, METH_NOARGS,
      "-> 42-tuple of stat deltas since the last drain; zeroes them."},
     {NULL, NULL, 0, NULL},
@@ -3703,6 +3920,13 @@ PyInit__kernels(void)
         PyType_Ready(&PMPKernelType) < 0 ||
         PyType_Ready(&TriangelKernelType) < 0 ||
         PyType_Ready(&DriverKernelType) < 0)
+        return NULL;
+    str_latency = PyUnicode_InternFromString("latency");
+    str_served = PyUnicode_InternFromString("served_by_prefetch");
+    str_late = PyUnicode_InternFromString("late_prefetch");
+    str_address = PyUnicode_InternFromString("address");
+    str_hint = PyUnicode_InternFromString("hint");
+    if (!str_latency || !str_served || !str_late || !str_address || !str_hint)
         return NULL;
     m = PyModule_Create(&kernels_module);
     if (!m)
@@ -3740,7 +3964,7 @@ PyInit__kernels(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "KERNELS_ABI", 3) < 0) {
+    if (PyModule_AddIntConstant(m, "KERNELS_ABI", 4) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -7,7 +7,8 @@ spelled on both sides and only reviewer memory kept them equal.  This
 rule extracts each mirrored constant from both languages (regex on the C
 source, AST on the Python source) and fails on any mismatch:
 
-- ``ptype`` codes: ``driver.PF_*`` vs the C ``DRV_PF_*`` enum
+- ``ptype`` codes: ``driver.PF_*`` vs the C ``DRV_PF_*`` enum, including
+  ``PF_PYTHON``, the Python-hosted train callback path
 - cache-block flag bits: ``driver._F_*`` vs the C ``CB_*`` defines
 - the LRU stamp ceiling: ``arrays.DEFAULT_STAMP_LIMIT`` vs ``STAMP_LIMIT``
 - the Berti PC hash mask (``pc & 0xFFFF``) on both sides

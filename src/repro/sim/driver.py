@@ -2,35 +2,59 @@
 
 When the optional C extension :mod:`repro._kernels` is built, the whole
 batched driver loop — cache probes, hit-run retirement, MSHR/DRAM/core
-timing, prefetch-queue drain and in-process prefetcher training — can run
-inside the extension's ``DriverKernel`` instead of
+timing, prefetch-queue drain and prefetcher training — can run inside the
+extension's ``DriverKernel`` instead of
 :meth:`~repro.sim.simulator.SingleCoreSimulator._execute_batched`.  This
 module decides *whether* the C driver may engage for a given simulator
 (every shape/listener/quiescence condition the Python driver's fast paths
 rely on must hold), ships the live Python state into the kernel at attach
 time, keeps the Python-visible core/statistics state in sync after every
-batch call, and exports the hierarchy state back at detach so everything
-downstream (``flush_prefetches``, ``finalize``, goldens, state
-introspection) observes exactly what the Python driver would have left
-behind.
+batch call, and leaves the rest of the hierarchy in C until it is read.
 
-Engagement is strictly opt-in (``kernel="compiled"``) and strictly
-conservative: :meth:`CompiledDriver.try_attach` declines — with a
-human-readable reason recorded as ``kernel_decline_reason`` — whenever the
-configuration is one the C port does not replicate bit-exactly, and the
-caller falls back to the Python driver.  The supported matrix:
+Engagement is opt-in (``kernel="compiled"``) and conservative:
+:meth:`CompiledDriver.try_attach` declines — with a human-readable reason
+recorded as ``kernel_decline_reason`` — whenever the run shape or the
+hierarchy geometry is one the C port does not replicate bit-exactly, and
+the caller falls back to the Python driver.  Every prefetcher runs in C:
 
-===================  ==========================================
-prefetcher           C driver path
-===================  ==========================================
-``none``             fused demand loop (no PQ/train machinery)
-vBerti (compiled)    per-access loop + ``BertiKernel`` train
-Gaze (compiled)      per-access loop + ``GazeKernel`` train/evict
-PMP (compiled)       per-access loop + ``PMPKernel`` train/evict
-Triangel (compiled)  per-access loop + ``TriangelKernel`` train
-                     (the L1-hit training gate applied natively)
-anything else        declined -> Python driver (bit-identical)
-===================  ==========================================
+=====================  ==============================================
+prefetcher             C driver path
+=====================  ==============================================
+``None``               fused demand loop (no PQ/train machinery)
+vBerti (compiled)      per-access loop + ``BertiKernel`` train
+Gaze (compiled)        per-access loop + ``GazeKernel`` train/evict
+PMP (compiled)         per-access loop + ``PMPKernel`` train/evict
+Triangel (compiled)    per-access loop + ``TriangelKernel`` train
+                       (the L1-hit training gate applied natively)
+any other object       per-access loop + one Python ``train`` call per
+                       load and one ``on_cache_eviction`` call per L1
+                       eviction (only when the hook overrides the
+                       base-class no-op)
+=====================  ==============================================
+
+What is left to decline is geometry and run shape: a scalar execution
+path, non-plain cache or DRAM objects, non-power-of-two set counts, extra
+eviction listeners, or a hierarchy with prefetches in flight.
+
+**The Python callback protocol.**  ``train(pc, address, cycle, result)``
+receives one of five ``AccessResult`` objects the kernel reuses for every
+call (one per serving level plus one for late prefetches), mutated exactly
+as the Python driver mutates its own, so a prefetcher must not keep a
+reference to ``result`` beyond the call.  Returned requests are packed to
+``block << 1 | (hint is PrefetchHint.L1)`` and go through the usual PQ
+accounting.  The hierarchy's cache, MSHR and DRAM state lives in C while
+the run is in progress, so a prefetcher must not read it from a callback;
+no registered design does.  An exception raised by either callback aborts
+the run and propagates unchanged; prefetches still queued at that point
+are dropped.
+
+**Detach is stats-only.**  ``run`` ends with :meth:`CompiledDriver.flush`
+(the C twin of ``CacheHierarchy.flush_prefetches``); :meth:`detach` then
+syncs only the core model and the statistics.  The cache, MSHR and DRAM
+contents stay in the kernel and are exported by
+:func:`export_hierarchy` the first time a caller reads the simulator's
+``hierarchy`` (or before its next run attaches), so engine jobs that
+discard the simulator never pay for the export.
 """
 
 from __future__ import annotations
@@ -39,7 +63,7 @@ from typing import Optional, Tuple
 
 from repro.sim.cache import Cache, CacheBlock, MSHREntry
 from repro.sim.dram import DRAMModel
-from repro.sim.types import PrefetchHint, PrefetchRequest
+from repro.sim.types import AccessResult, PrefetchHint
 
 try:  # pragma: no cover - exercised only when the extension is built
     from repro import _kernels
@@ -52,6 +76,7 @@ PF_BERTI = 1
 PF_GAZE = 2
 PF_PMP = 3
 PF_TRIANGEL = 4
+PF_PYTHON = 5
 
 #: Cache-block flag bits used by ``load_cache``/``export_cache``.
 _F_PREFETCHED = 1
@@ -66,18 +91,19 @@ def driver_available() -> bool:
     return _kernels is not None and hasattr(_kernels, "DriverKernel")
 
 
-def _classify(prefetcher) -> Tuple[Optional[int], object, Optional[str]]:
-    """Map ``prefetcher`` to a ``(ptype, train_kernel, decline_reason)``.
+def _classify(prefetcher) -> Tuple[int, object, object]:
+    """Map ``prefetcher`` to a ``(ptype, train_kernel, evict_hook)``.
 
-    Only the *compiled twin* classes qualify: they already own the C train
-    kernel the driver calls in-process, and their construction enforced
-    the geometry limits (<= 64-entry masks/FIFOs).  A plain Python
-    prefetcher under ``kernel="compiled"`` means :func:`resolve_kernel`
-    could not produce a twin (unsupported design or geometry), so the
-    driver declines and the Python driver runs it.
+    The exact compiled twin classes run their C train kernel in-process
+    (their construction enforced the geometry limits).  Every other
+    prefetcher — including subclasses of the twins — is hosted through
+    Python callbacks: ``train_kernel`` is its bound ``train`` and
+    ``evict_hook`` its ``on_cache_eviction``, or ``None`` when it has no
+    hook or only the base-class no-op.
     """
     if prefetcher is None:
         return PF_NONE, None, None
+    from repro.prefetchers.base import Prefetcher
     from repro.prefetchers.compiled import (
         CompiledBertiPrefetcher,
         CompiledGazePrefetcher,
@@ -91,18 +117,15 @@ def _classify(prefetcher) -> Tuple[Optional[int], object, Optional[str]]:
         CompiledPMPPrefetcher: PF_PMP,
         CompiledTriangelPrefetcher: PF_TRIANGEL,
     }.get(type(prefetcher))
+    hook = getattr(prefetcher, "on_cache_eviction", None)
+    if getattr(hook, "__func__", None) is Prefetcher.on_cache_eviction:
+        hook = None
+    if ptype in (PF_BERTI, PF_TRIANGEL) and hook is not None:
+        # Their C kernels never see L1 evictions; an override needs the
+        # callback path.
+        ptype = None
     if ptype is None:
-        return None, None, (
-            f"prefetcher {getattr(prefetcher, 'name', type(prefetcher).__name__)!r}"
-            " has no compiled twin"
-        )
-    if ptype in (PF_BERTI, PF_TRIANGEL):
-        # The driver never forwards L1 evictions to these designs; that is
-        # only correct while their eviction hook is the base-class no-op.
-        from repro.prefetchers.base import Prefetcher
-
-        if type(prefetcher).on_cache_eviction is not Prefetcher.on_cache_eviction:
-            return None, None, "prefetcher overrides on_cache_eviction"
+        return PF_PYTHON, prefetcher.train, hook
     return ptype, getattr(prefetcher, "_kernel", None), None
 
 
@@ -130,12 +153,11 @@ def _cache_items(cache: Cache):
 class CompiledDriver:
     """One attached ``DriverKernel`` driving one simulator's batched runs."""
 
-    __slots__ = ("_kernel", "_sim", "_ptype")
+    __slots__ = ("_kernel", "_sim")
 
-    def __init__(self, kernel, sim, ptype: int) -> None:
+    def __init__(self, kernel, sim) -> None:
         self._kernel = kernel
         self._sim = sim
-        self._ptype = ptype
 
     # ------------------------------------------------------------------ #
     # Attach
@@ -151,10 +173,6 @@ class CompiledDriver:
         """
         if not driver_available():
             return None, "repro._kernels extension (DriverKernel) not built"
-        ptype, train_kernel, reason = _classify(sim.prefetcher)
-        if ptype is None:
-            return None, reason
-
         hierarchy = sim.hierarchy
         l1d = hierarchy.l1d
         l2c = hierarchy.l2c
@@ -167,8 +185,11 @@ class CompiledDriver:
         if type(dram) is not DRAMModel:
             return None, "non-plain DRAM model"
 
+        prefetcher = sim.prefetcher
         expected_l1 = [hierarchy._count_useless_eviction]
-        if sim.prefetcher is not None:
+        # The simulator registers its forwarding listener only for
+        # prefetchers that have the hook at all (duck-typed ones may not).
+        if prefetcher is not None and hasattr(prefetcher, "on_cache_eviction"):
             expected_l1.append(sim._notify_prefetcher_eviction)
         if l1d.eviction_listeners != expected_l1:
             return None, "custom L1D eviction listeners"
@@ -182,6 +203,19 @@ class CompiledDriver:
         if mshr._entries or pq.pending:
             return None, "hierarchy not quiescent (in-flight prefetches)"
 
+        ptype, train_kernel, evict_hook = _classify(prefetcher)
+        results = hint_l1 = None
+        if ptype == PF_PYTHON:
+            # The Python driver's per-level reusable results, same order
+            # as the kernel's RES_* indices.
+            results = (
+                AccessResult(hierarchy._lat_l1, "L1D", False, False),
+                AccessResult(hierarchy._lat_l2, "L2C", False, False),
+                AccessResult(hierarchy._lat_llc, "LLC", False, False),
+                AccessResult(0, "DRAM", False, False),
+                AccessResult(0, "L1D", False, False),
+            )
+            hint_l1 = PrefetchHint.L1
         core = sim.core
         kernel = _kernels.DriverKernel(
             l1_sets=l1d._set_count,
@@ -212,6 +246,9 @@ class CompiledDriver:
             miss_threshold=core._miss_threshold,
             ptype=ptype,
             kernel=train_kernel,
+            evict=evict_hook,
+            results=results,
+            hint_l1=hint_l1,
         )
         kernel.load_cache(1, _cache_items(l1d))
         kernel.load_cache(2, _cache_items(l2c))
@@ -233,7 +270,7 @@ class CompiledDriver:
             list(dram._bank_busy_until.items()),
             list(dram._channel_busy_until),
         )
-        return CompiledDriver(kernel, sim, ptype), None
+        return CompiledDriver(kernel, sim), None
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -336,62 +373,67 @@ class CompiledDriver:
         dram_stats.total_queue_wait += v[40]
         dram_stats.total_service_cycles += v[41]
 
+    def flush(self, cycle: int) -> None:
+        """Issue every queued prefetch and complete every in-flight fill.
+
+        The C twin of :meth:`CacheHierarchy.flush_prefetches`, run at the
+        end of a successful run before :meth:`detach`.
+        """
+        self._kernel.flush(cycle)
+
     # ------------------------------------------------------------------ #
     # Detach
     # ------------------------------------------------------------------ #
     def detach(self) -> None:
-        """Export every piece of hierarchy state back onto the live objects.
+        """Sync the core and the statistics; leave the hierarchy in C.
 
-        After this returns, the simulator is indistinguishable from one
-        that ran the Python driver: ``flush_prefetches`` drains the same
-        queue entries into the same MSHR/caches, ``finalize`` sees the same
-        core state, and state-introspection tests read identical caches.
+        ``finalize`` needs only the core, and the statistics are complete
+        once the last deltas are drained.  The cache/MSHR/DRAM contents are
+        handed to the simulator as a pending export (see
+        :func:`export_hierarchy`) and copied out only if someone reads the
+        hierarchy.
         """
         self._sync_core_out()
         self._drain_stats()
-        kernel = self._kernel
-        hierarchy = self._sim.hierarchy
+        self._sim._pending_export = self._kernel
 
-        for level, cache in ((1, hierarchy.l1d), (2, hierarchy.l2c), (3, hierarchy.llc)):
-            sets = cache._sets
-            for cache_set in sets:
-                cache_set.clear()
-            mask = cache._set_mask
-            for block, flags in kernel.export_cache(level):
-                entry = CacheBlock(
-                    block,
-                    bool(flags & _F_PREFETCHED),
-                    bool(flags & _F_USEFUL),
-                    bool(flags & _F_FROM_DRAM),
-                    bool(flags & _F_DIRTY),
-                )
-                entry.useful_counted = bool(flags & _F_COUNTED)
-                sets[block & mask][block] = entry
 
-        mshr = hierarchy.l1_mshr
-        entries, min_ready = kernel.export_mshr()
-        mshr._entries.clear()
-        for block, ready, from_dram in entries:
-            mshr._entries[block] = MSHREntry(block, ready, True, 1, bool(from_dram))
-        mshr._min_ready = float("inf") if min_ready is None else min_ready
+def export_hierarchy(kernel, hierarchy) -> None:
+    """Copy a detached kernel's cache, MSHR and DRAM state onto ``hierarchy``.
 
-        pq = hierarchy.prefetch_queue
-        packed, issue = kernel.export_pq()
-        if packed:
-            queue = pq._queue
-            convert_cycle = int(issue)
-            hint_l1 = PrefetchHint.L1
-            hint_l2 = PrefetchHint.L2
-            for p in packed:
-                request = PrefetchRequest(
-                    (p >> 1) << 6, hint_l1 if p & 1 else hint_l2, 0, ""
-                )
-                queue.append((request, convert_cycle))
+    Afterwards the hierarchy is indistinguishable from one the Python
+    driver ran: caches hold the same blocks in the same LRU order with the
+    same flags, the MSHR the same fills (none after a completed run) and
+    minimum ready cycle, and the DRAM the same bank/row/channel timing.
+    Prefetches still queued when a callback aborted the run are dropped.
+    """
+    for level, cache in ((1, hierarchy.l1d), (2, hierarchy.l2c), (3, hierarchy.llc)):
+        sets = cache._sets
+        for cache_set in sets:
+            cache_set.clear()
+        mask = cache._set_mask
+        for block, flags in kernel.export_cache(level):
+            entry = CacheBlock(
+                block,
+                bool(flags & _F_PREFETCHED),
+                bool(flags & _F_USEFUL),
+                bool(flags & _F_FROM_DRAM),
+                bool(flags & _F_DIRTY),
+            )
+            entry.useful_counted = bool(flags & _F_COUNTED)
+            sets[block & mask][block] = entry
 
-        dram = hierarchy.dram
-        open_rows, bank_busy, channel_busy = kernel.export_dram()
-        dram._open_row.clear()
-        dram._open_row.update(open_rows)
-        dram._bank_busy_until.clear()
-        dram._bank_busy_until.update(bank_busy)
-        dram._channel_busy_until[:] = channel_busy
+    mshr = hierarchy.l1_mshr
+    entries, min_ready = kernel.export_mshr()
+    mshr._entries.clear()
+    for block, ready, from_dram in entries:
+        mshr._entries[block] = MSHREntry(block, ready, True, 1, bool(from_dram))
+    mshr._min_ready = float("inf") if min_ready is None else min_ready
+
+    dram = hierarchy.dram
+    open_rows, bank_busy, channel_busy = kernel.export_dram()
+    dram._open_row.clear()
+    dram._open_row.update(open_rows)
+    dram._bank_busy_until.clear()
+    dram._bank_busy_until.update(bank_busy)
+    dram._channel_busy_until[:] = channel_busy

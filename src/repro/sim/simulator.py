@@ -240,11 +240,14 @@ class SingleCoreSimulator:
         #: it was never requested).
         self.kernel_decline_reason: Optional[str] = None
         self._driver = None
+        #: Kernel of a detached compiled-driver run whose cache/MSHR/DRAM
+        #: state has not been copied back yet (see :attr:`hierarchy`).
+        self._pending_export = None
         self.stats = SimulationStats(
             name=name,
             prefetcher=getattr(prefetcher, "name", "none") if prefetcher else "none",
         )
-        self.hierarchy = CacheHierarchy(self.config, stats=self.stats)
+        self._hierarchy = CacheHierarchy(self.config, stats=self.stats)
         self.core = CoreTimingModel(self.config.core)
         if prefetcher is not None and hasattr(prefetcher, "on_cache_eviction"):
             listeners = self.hierarchy.l1d.eviction_listeners
@@ -254,6 +257,21 @@ class SingleCoreSimulator:
             # second copy of the same listener.
             if self._notify_prefetcher_eviction not in listeners:
                 listeners.append(self._notify_prefetcher_eviction)
+
+    @property
+    def hierarchy(self) -> CacheHierarchy:
+        """The cache hierarchy, current as of the last :meth:`run`.
+
+        A compiled-driver run leaves the cache/MSHR/DRAM contents in C;
+        the first read after it copies them back.
+        """
+        kernel = self._pending_export
+        if kernel is not None:
+            from repro.sim.driver import export_hierarchy
+
+            self._pending_export = None
+            export_hierarchy(kernel, self._hierarchy)
+        return self._hierarchy
 
     def _notify_prefetcher_eviction(self, victim) -> None:
         """Forward an L1D eviction to the prefetcher's region deactivation."""
@@ -323,6 +341,7 @@ class SingleCoreSimulator:
             trace = list(trace)
         replayer = _TraceReplayer(trace)
         self._attach_driver(replayer)
+        driver = self._driver
 
         try:
             start_instr = 0
@@ -347,15 +366,17 @@ class SingleCoreSimulator:
                     if replayer.reopenable:
                         max_instructions = replayer.count_pass_instructions()
             self._execute(replayer, max_instructions)
+            if driver is not None:
+                driver.flush(self.core.current_cycle)
         finally:
-            driver = self._driver
             if driver is not None:
                 self._driver = None
                 driver.detach()
         if not replayer.yielded_any:
             raise ValueError("cannot simulate an empty trace")
 
-        self.hierarchy.flush_prefetches(self.core.current_cycle)
+        if driver is None:
+            self.hierarchy.flush_prefetches(self.core.current_cycle)
         instructions, cycles = self.core.finalize()
         self.stats.instructions = instructions - start_instr
         self.stats.cycles = max(1, int(cycles - start_cycles))

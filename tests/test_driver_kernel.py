@@ -1,18 +1,23 @@
 """Compiled batched driver loop: equivalence, engagement, tier reporting.
 
 Under ``kernel="compiled"`` the simulator hands whole batched chunks to the
-C ``DriverKernel`` (:mod:`repro.sim.driver`) for the bare no-prefetcher run
-and the four designs with full C twins (vberti, gaze, pmp, triangel);
-everything else silently falls back to the Python driver.  Both paths must
-be *bit-identical* for every statistic and for the complete hierarchy state
-the driver syncs back on detach — caches (contents, flags and LRU order),
-MSHR file, prefetch queue, DRAM bank/row/channel timing and the core model.
+C ``DriverKernel`` (:mod:`repro.sim.driver`) for every prefetcher: the bare
+no-prefetcher run takes the fused loop, the four designs with full C twins
+(vberti, gaze, pmp, triangel) train in-process, and every other design is
+called back through its Python ``train``/``on_cache_eviction``.  Only
+geometry and run shape decline to the Python driver.  Both paths must be
+*bit-identical* for every statistic and for the complete hierarchy state
+the driver exports when it is read — caches (contents, flags and LRU
+order), MSHR file, prefetch queue, DRAM bank/row/channel timing and the
+core model.
 
 These tests pin that equivalence over every registered prefetcher, over
 chunked file-backed streams with warmup/budget cuts landing mid-run and
-MSHR fills straddling chunk boundaries, the tier bookkeeping that makes a
-fallen-back "compiled" run visible, and the PMP/Triangel train twins the
-driver dispatches to.
+MSHR fills straddling chunk boundaries, the Python callback protocol
+(argument-for-argument, including the reused ``result`` object, and
+exception propagation), the lazy hierarchy export, the tier bookkeeping
+that makes a fallen-back "compiled" run visible, and the PMP/Triangel
+train twins the driver dispatches to.
 
 All equality assertions hold whether or not the extension is built (the
 fallback is the identity); tests that require the C driver to *engage* are
@@ -21,18 +26,24 @@ skipped when it is absent.
 
 from __future__ import annotations
 
+import sys
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.bench import BENCH_SCHEMA, BenchCase
 from repro.prefetchers import available_prefetchers, create_prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.compiled import compiled_available, compiled_twin
 from repro.sim.batch import ChunkedTraceStream
+from repro.sim.config import default_system_config
 from repro.sim.driver import driver_available
 from repro.sim.simulator import (
     SingleCoreSimulator,
     resolve_kernel,
     simulate_trace,
 )
+from repro.sim.types import PrefetchHint, PrefetchRequest
 from repro.workloads import formats as trace_formats
 from repro.workloads.trace import TraceSpec
 
@@ -43,7 +54,11 @@ requires_compiled = pytest.mark.skipif(
     not compiled_available(), reason="compiled extension not built"
 )
 
-DRIVER_PREFETCHERS = ("none", "vberti", "gaze", "pmp", "triangel")
+#: The bare no-prefetcher run plus the four designs with C train twins.
+TWIN_PREFETCHERS = ("none", "vberti", "gaze", "pmp", "triangel")
+
+#: Registered designs the driver hosts through Python callbacks.
+PYTHON_HOSTED = ("sms", "spp-ppf", "bingo")
 
 
 def _trace(generator="spatial", seed=11, length=1_200):
@@ -104,7 +119,7 @@ class TestDriverEquivalence:
         compiled = simulate_trace(trace, kernel="compiled")
         _assert_identical(scalar, compiled, f"{generator}, fused none")
 
-    @pytest.mark.parametrize("name", DRIVER_PREFETCHERS)
+    @pytest.mark.parametrize("name", TWIN_PREFETCHERS + PYTHON_HOSTED)
     @pytest.mark.parametrize(
         "warmup,budget", [(0, 997), (250, None), (500, 1_503), (0, 100_000)]
     )
@@ -218,12 +233,12 @@ def _hierarchy_state(sim):
 
 class TestDriverStateSync:
     @requires_driver
-    @pytest.mark.parametrize("name", DRIVER_PREFETCHERS)
+    @pytest.mark.parametrize("name", sorted(available_prefetchers()))
     def test_detach_restores_exact_hierarchy_state(self, name):
         # Not just the counters: cache contents in LRU order with all five
         # flag bits, in-flight MSHR entries, queued prefetches, DRAM
         # bank/row/channel timing and the core model must match what the
-        # Python driver leaves behind.
+        # Python driver leaves behind, once the lazy export has run.
         trace = _trace(generator="spatial", seed=17, length=1_500)
         sims = {}
         for kernel in ("python", "compiled"):
@@ -233,6 +248,7 @@ class TestDriverStateSync:
             )
             sim.run(trace)
             sims[kernel] = sim
+        assert sims["compiled"].kernel_tier_used == "compiled-driver"
         assert _hierarchy_state(sims["python"]) == _hierarchy_state(
             sims["compiled"]
         ), f"hierarchy state diverged after detach ({name})"
@@ -244,15 +260,69 @@ class TestDriverStateSync:
         assert sim.kernel_tier_used == "compiled-driver"
         assert sim.kernel_decline_reason is None
 
+    @requires_driver
+    def test_hierarchy_export_is_lazy(self):
+        sim = SingleCoreSimulator(
+            prefetcher=resolve_kernel(create_prefetcher("gaze"), "compiled"),
+            kernel="compiled",
+        )
+        sim.run(_trace(length=600))
+        # Detach synced only the core and the stats; the caches are still
+        # empty Python objects until the hierarchy is read.
+        assert sim._pending_export is not None
+        assert not any(sim._hierarchy.l1d._sets)
+        assert any(sim.hierarchy.l1d._sets)
+        assert sim._pending_export is None
+
+    @requires_driver
+    def test_stats_hold_no_reference_to_the_kernel(self):
+        sim = SingleCoreSimulator(kernel="compiled")
+        stats = sim.run(_trace(length=400))
+        kernel = sim._pending_export
+        assert kernel is not None
+        del sim
+        # Only this frame (and getrefcount's argument) still hold it.
+        assert sys.getrefcount(kernel) == 2
+        assert stats.demand_accesses > 0
+
+    @pytest.mark.parametrize("name", ["gaze", "sms", "none"])
+    def test_second_run_on_same_simulator(self, name):
+        # The second run must attach to exactly the state the first run
+        # left in the kernel (exported just before it attaches).
+        first = _trace(generator="spatial", seed=19, length=800)
+        second = _trace(generator="cloud", seed=23, length=800)
+        results = {}
+        for kernel in ("python", "compiled"):
+            sim = SingleCoreSimulator(
+                prefetcher=resolve_kernel(_prefetcher(name), kernel),
+                kernel=kernel,
+            )
+            a = _stats_dict(sim.run(first))
+            b = _stats_dict(sim.run(second))
+            results[kernel] = (a, b, _hierarchy_state(sim))
+        assert results["python"] == results["compiled"]
+
 
 # --------------------------------------------------------------------------- #
 # Tier recording
 # --------------------------------------------------------------------------- #
+def _odd_l2_config():
+    config = default_system_config(1)
+    # 768 sets: a power-of-two L1 keeps the batched kernel, the L2 does not
+    # fit the C driver's mask indexing.
+    l2c = replace(config.l2c, size_bytes=768 * config.l2c.ways * 64)
+    assert l2c.sets == 768
+    return replace(config, l2c=l2c)
+
+
 class TestTierRecording:
     @requires_driver
-    @pytest.mark.parametrize("name", DRIVER_PREFETCHERS)
-    def test_driver_designs_record_compiled_driver(self, name):
-        stats = _run(_trace(length=400), name, "compiled", record_tier=True)
+    @pytest.mark.parametrize("name", sorted(available_prefetchers()))
+    def test_every_design_records_compiled_driver(self, name):
+        stats = simulate_trace(
+            _trace(length=400), prefetcher=create_prefetcher(name),
+            kernel="compiled", record_tier=True,
+        )
         assert stats.extra["kernel_tier"] == "compiled-driver"
         assert "kernel_decline_reason" not in stats.extra
 
@@ -265,25 +335,20 @@ class TestTierRecording:
         assert "scalar" in stats.extra["kernel_decline_reason"]
 
     @requires_driver
-    def test_non_twin_design_declines_with_reason(self):
+    def test_non_power_of_two_l2_declines_with_reason(self):
+        config = _odd_l2_config()
+        trace = _trace(length=600)
         stats = simulate_trace(
-            _trace(length=400), prefetcher=create_prefetcher("ghb"),
+            trace, prefetcher=create_prefetcher("sms"), config=config,
             kernel="compiled", record_tier=True,
         )
         assert stats.extra["kernel_tier"] == "python"
-        assert stats.extra["kernel_decline_reason"]
-
-    @requires_driver
-    def test_registry_none_object_declines(self):
-        # Only a bare ``prefetcher=None`` runs the fused no-prefetcher
-        # loop; the registry's NoPrefetcher *object* still trains through
-        # the generic path and must decline honestly.
-        stats = simulate_trace(
-            _trace(length=400), prefetcher=create_prefetcher("none"),
-            kernel="compiled", record_tier=True,
+        assert "non-power-of-two" in stats.extra["kernel_decline_reason"]
+        reference = simulate_trace(
+            trace, prefetcher=create_prefetcher("sms"), config=config,
+            batch="off",
         )
-        assert stats.extra["kernel_tier"] == "python"
-        assert stats.extra["kernel_decline_reason"]
+        _assert_identical(reference, stats, "odd L2 fallback")
 
     def test_default_run_leaves_extra_untouched(self):
         stats = simulate_trace(_trace(length=400), kernel="compiled")
@@ -295,6 +360,172 @@ class TestTierRecording:
         )
         assert stats.extra["kernel_tier"] == "python"
         assert "kernel_decline_reason" not in stats.extra
+
+
+# --------------------------------------------------------------------------- #
+# Python callback protocol
+# --------------------------------------------------------------------------- #
+def _small_config():
+    # Small L1/L2 so a short trace reaches every serving level (L1, L2,
+    # LLC, DRAM, in-flight) and evicts from the L1 constantly.
+    config = default_system_config(1)
+    l1d = replace(config.l1d, size_bytes=8 * config.l1d.ways * 64)
+    l2c = replace(config.l2c, size_bytes=32 * config.l2c.ways * 64)
+    return replace(config, l1d=l1d, l2c=l2c)
+
+
+class _RecordingPrefetcher(Prefetcher):
+    """Logs every callback; returns a fixed mix of L1/L2-hinted requests.
+
+    Every 97th call asks for more requests than the 64-entry PQ holds.
+    """
+
+    name = "recording"
+
+    def __init__(self):
+        self.trains = []
+        self.evictions = []
+
+    def train(self, pc, address, cycle, result=None):
+        self.trains.append(
+            (pc, address, cycle, result.hit_level, result.latency,
+             result.served_by_prefetch, result.late_prefetch)
+        )
+        step = len(self.trains)
+        count = 70 if step % 97 == 0 else step % 4
+        block = address >> 6
+        return [
+            PrefetchRequest(
+                (block + k) << 6, PrefetchHint.L1 if k % 2 else PrefetchHint.L2
+            )
+            for k in range(1, count + 1)
+        ]
+
+    def on_cache_eviction(self, block):
+        self.evictions.append(block)
+
+
+class _Boom(Exception):
+    pass
+
+
+class _RaisingPrefetcher(_RecordingPrefetcher):
+    """Raises from ``train`` on call ``train_at`` or from
+    ``on_cache_eviction`` on eviction ``evict_at`` (0-based)."""
+
+    def __init__(self, train_at=None, evict_at=None):
+        super().__init__()
+        self.train_at = train_at
+        self.evict_at = evict_at
+        self.error = None
+
+    def train(self, pc, address, cycle, result=None):
+        if len(self.trains) == self.train_at:
+            self.error = _Boom(f"train call {self.train_at}")
+            raise self.error
+        return super().train(pc, address, cycle, result)
+
+    def on_cache_eviction(self, block):
+        if len(self.evictions) == self.evict_at:
+            self.error = _Boom(f"eviction {self.evict_at}")
+            raise self.error
+        super().on_cache_eviction(block)
+
+
+class _DuckTypedPrefetcher:
+    """Not a :class:`Prefetcher` subclass and has no eviction hook."""
+
+    name = "duck"
+
+    def train(self, pc, address, cycle, result=None):
+        return [PrefetchRequest(((address >> 6) + 1) << 6, PrefetchHint.L1)]
+
+
+class TestPythonCallbacks:
+    @pytest.mark.parametrize("shape", ["whole", "chunked", "warmup"])
+    def test_callbacks_identical_across_drivers(self, shape):
+        trace = _trace(generator="spatial", seed=29, length=1_500)
+        config = _small_config()
+        logs = {}
+        for kernel in ("python", "compiled"):
+            prefetcher = _RecordingPrefetcher()
+            source = trace
+            kwargs = {}
+            if shape == "chunked":
+                source = ChunkedTraceStream(trace, chunk_accesses=64)
+            elif shape == "warmup":
+                kwargs = {"warmup_instructions": 700,
+                          "max_instructions": 2_500}
+            stats = simulate_trace(
+                source, prefetcher=prefetcher, config=config, kernel=kernel,
+                record_tier=True, **kwargs,
+            )
+            logs[kernel] = (prefetcher.trains, prefetcher.evictions, stats)
+        py_trains, py_evictions, py_stats = logs["python"]
+        c_trains, c_evictions, c_stats = logs["compiled"]
+        assert c_trains == py_trains
+        assert c_evictions == py_evictions
+        _assert_identical(py_stats, c_stats, f"recording prefetcher, {shape}")
+        # The trace must exercise every result shape and the PQ overflow.
+        assert {t[3] for t in py_trains} == {"L1D", "L2C", "LLC", "DRAM"}
+        assert any(t[6] for t in py_trains), "no late prefetch observed"
+        assert any(t[5] and not t[6] for t in py_trains)
+        assert py_stats.prefetch.dropped_queue_full > 0
+        if driver_available():
+            assert c_stats.extra["kernel_tier"] == "compiled-driver"
+
+    @pytest.mark.parametrize(
+        "arm", [{"train_at": 300}, {"evict_at": 150}], ids=["train", "evict"]
+    )
+    def test_callback_exception_propagates(self, arm):
+        trace = _trace(generator="streaming", seed=31, length=1_200)
+        config = _small_config()
+        logs = {}
+        for kernel in ("python", "compiled"):
+            prefetcher = _RaisingPrefetcher(**arm)
+            with pytest.raises(_Boom) as caught:
+                simulate_trace(
+                    trace, prefetcher=prefetcher, config=config, kernel=kernel
+                )
+            assert caught.value is prefetcher.error
+            logs[kernel] = (prefetcher.trains, prefetcher.evictions)
+        # No callback runs after the one that raised.
+        assert logs["compiled"] == logs["python"]
+
+    @requires_driver
+    @pytest.mark.parametrize(
+        "arm", [{"train_at": 300}, {"evict_at": 150}], ids=["train", "evict"]
+    )
+    def test_simulator_runs_again_after_exception(self, arm):
+        trace = _trace(generator="streaming", seed=31, length=1_200)
+        prefetcher = _RaisingPrefetcher(**arm)
+        sim = SingleCoreSimulator(
+            config=_small_config(), prefetcher=prefetcher, kernel="compiled"
+        )
+        with pytest.raises(_Boom) as caught:
+            sim.run(trace)
+        assert caught.value is prefetcher.error
+        prefetcher.train_at = prefetcher.evict_at = None
+        # Statistics accumulate across runs of one simulator.
+        before = sim.stats.demand_accesses
+        stats = sim.run(trace)
+        assert stats.demand_accesses - before == len(trace)
+        assert stats.prefetch.issued > 0
+
+    def test_duck_typed_prefetcher_without_hook(self):
+        trace = _trace(length=800)
+        reference = simulate_trace(
+            trace, prefetcher=_DuckTypedPrefetcher(), kernel="python"
+        )
+        compiled = simulate_trace(
+            trace, prefetcher=_DuckTypedPrefetcher(), kernel="compiled",
+            record_tier=True,
+        )
+        _assert_identical(reference, compiled, "duck-typed prefetcher")
+        assert reference.prefetch.issued > 0
+        if driver_available():
+            assert compiled.extra["kernel_tier"] == "compiled-driver"
+            assert "kernel_decline_reason" not in compiled.extra
 
 
 # --------------------------------------------------------------------------- #
@@ -321,7 +552,7 @@ class TestDebugKernels:
     def test_boundary_sweep_passes_on_real_runs(self):
         # Attach, chunked run, detach: every DRV_CHECK call site fires on
         # a debug build and must stay silent on healthy state.
-        for name in DRIVER_PREFETCHERS:
+        for name in TWIN_PREFETCHERS + PYTHON_HOSTED:
             stats = _run(_trace(length=900), name, "compiled", record_tier=True)
             assert stats.extra["kernel_tier"] == "compiled-driver"
 

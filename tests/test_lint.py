@@ -257,6 +257,20 @@ class TestR2TwinConstants:
         message = report.diagnostics[0].message
         assert "twin drift" in message and "_F_DIRTY" in message
 
+    def test_seeded_python_ptype_drift_is_caught(self, tmp_path):
+        _copy_anchors(tmp_path)
+        kernels = tmp_path / "src/repro/_kernels.c"
+        text = kernels.read_text(encoding="utf-8")
+        assert "DRV_PF_PYTHON = 5" in text
+        kernels.write_text(
+            text.replace("DRV_PF_PYTHON = 5", "DRV_PF_PYTHON = 6"),
+            encoding="utf-8",
+        )
+        report = run_lint(root=tmp_path, rules=["R2"])
+        assert len(report.diagnostics) == 1
+        message = report.diagnostics[0].message
+        assert "twin drift" in message and "PF_PYTHON" in message
+
     def test_seeded_stamp_limit_drift_is_caught(self, tmp_path):
         _copy_anchors(tmp_path)
         arrays = tmp_path / "src/repro/prefetchers/arrays.py"
