@@ -1,13 +1,13 @@
 """Setup shim: editable installs plus the *optional* compiled kernel tier.
 
-The C extension ``repro._kernels`` accelerates the flat prefetcher train
-loops (see ``src/repro/prefetchers/compiled.py``) and carries the
+The C extension ``repro._kernels`` carries C twins of the Gaze, vBerti,
+PMP and Triangel train loops (see ``src/repro/prefetchers/compiled.py``) and carries the
 ``DriverKernel`` batched driver loop (see ``src/repro/sim/driver.py``),
 which runs the whole single-core simulation chunk-at-a-time in C under
 ``kernel="compiled"``.  It is strictly optional —
 ``Extension(..., optional=True)`` makes a missing compiler or headers a
 warning rather than a build failure, and every consumer falls back to
-the pure-Python tiers when the artifact is absent.
+the pure-Python object prefetchers when the artifact is absent.
 
 Build it in place with::
 

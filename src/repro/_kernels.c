@@ -1,17 +1,20 @@
-/* Compiled kernel tier: C twins of the flat prefetcher train loops.
+/* Compiled kernel tier: C twins of the prefetcher train loops and of the
+ * batched driver loop.
  *
- * This module re-hosts the state machines of
- * ``repro.prefetchers.arrays.FlatBertiPrefetcher`` and
- * ``FlatGazePrefetcher`` in C.  It is an *optional* accelerator: the
- * Python flat implementations remain the bit-exact oracle, and
- * ``repro.prefetchers.compiled`` falls back to them when this extension
- * has not been built (``python setup.py build_ext --inplace``).
+ * This module re-hosts the state machines of the object prefetchers
+ * ``repro.core.gaze.GazePrefetcher``,
+ * ``repro.prefetchers.berti.BertiPrefetcher``,
+ * ``repro.prefetchers.pmp.PMPPrefetcher`` and
+ * ``repro.prefetchers.temporal.TriangelPrefetcher`` in C.  It is an
+ * *optional* accelerator: the object classes remain the bit-exact
+ * oracle, and ``repro.prefetchers.compiled`` falls back to them when this
+ * extension has not been built (``python setup.py build_ext --inplace``).
  *
  * Bit-exactness contract
  * ----------------------
  * Every LRU touch point, eviction order, tie-break and threshold
- * comparison of the flat Python implementations is replicated operation
- * for operation.  All float thresholds are precomputed on the Python
+ * comparison of the object implementations is replicated operation for
+ * operation.  All float thresholds are precomputed on the Python
  * side (with the exact float comparisons the object implementations
  * perform) and passed in as integer tables, so this file is pure integer
  * code.  The all-tier equality suite (``tests/test_flat_state.py``) pins
@@ -19,7 +22,7 @@
  *
  * Geometry limits: the Gaze kernel requires ``blocks_per_region <= 64``
  * (region footprints are single uint64 masks); the wrapper falls back to
- * the Python flat implementation otherwise.  Table lookups are linear
+ * the object implementation otherwise.  Table lookups are linear
  * scans over the capacity, sized for the paper's 32..64-entry tables.
  */
 
@@ -31,7 +34,8 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Stamp ceiling of FlatSetAssociativeTable (arrays.DEFAULT_STAMP_LIMIT). */
+/* Ceiling of the PHT's LRU stamp clock.  Reaching it renormalises the
+ * stamps in LRU order, which no lookup can observe (see pht_tick). */
 #define STAMP_LIMIT (1LL << 60)
 
 static inline uint64_t
@@ -66,8 +70,8 @@ packed_result(const long long *buf, int n)
 
 /* ------------------------------------------------------------------ */
 /* Fully-associative LRU table: key -> slot, linked-list recency.      */
-/* Mirrors arrays.FlatLRUTable: dict insertion order == LRU order,     */
-/* victim is the list head.  Payload columns live in the caller.       */
+/* Mirrors prefetchers.tables.LRUTable: OrderedDict order == list     */
+/* order, victim is the list head.  Payload columns live in the caller. */
 /* ------------------------------------------------------------------ */
 typedef struct {
     int cap;
@@ -96,7 +100,7 @@ ft_init(FTable *t, int cap)
         return -1;
     memset(t->used, 0, cap);
     t->head = t->tail = -1;
-    /* Free slots popped highest-first, matching FlatLRUTable.free. */
+    /* Free slots are popped highest-first. */
     for (int i = 0; i < cap; i++)
         t->free_slots[i] = cap - 1 - i;
     t->free_count = cap;
@@ -248,7 +252,7 @@ ft_check(const FTable *t, const char *where)
 #endif /* REPRO_DEBUG_KERNELS */
 
 /* ================================================================== */
-/* BertiKernel: C twin of FlatBertiPrefetcher.train_flat               */
+/* BertiKernel: C twin of BertiPrefetcher.train                        */
 /* ================================================================== */
 typedef struct {
     PyObject_HEAD
@@ -412,7 +416,7 @@ berti_train_impl(BertiKernel *self, long long pc, long long address,
     int dcnt = self->d_cnt[slot];
     long long rounds = self->rounds[slot];
 
-    /* ---- learn (exact port of the flat learn loop) ---- */
+    /* ---- learn (exact port of BertiPrefetcher._learn_deltas) ---- */
     if (hlen > 0) {
         const long long window = self->window_blocks;
         const long long thr = cycle - latency;
@@ -504,7 +508,7 @@ berti_train_impl(BertiKernel *self, long long pc, long long address,
     self->d_cnt[slot] = dcnt;
     self->rounds[slot] = rounds;
 
-    /* ---- issue (exact port of the flat issue scan) ---- */
+    /* ---- issue (exact port of BertiPrefetcher._issue) ---- */
     if (!rounds)
         return -1;
     const long long thr_l2 = self->l2_thr[rounds];
@@ -578,14 +582,14 @@ static PyTypeObject BertiKernelType = {
     .tp_basicsize = sizeof(BertiKernel),
     .tp_dealloc = (destructor)Berti_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "C twin of FlatBertiPrefetcher's train_flat state machine.",
+    .tp_doc = "C twin of BertiPrefetcher's train state machine.",
     .tp_methods = Berti_methods,
     .tp_init = (initproc)Berti_init,
     .tp_new = PyType_GenericNew,
 };
 
 /* ================================================================== */
-/* GazeKernel: C twin of FlatGazePrefetcher                            */
+/* GazeKernel: C twin of GazePrefetcher                                */
 /* ================================================================== */
 typedef struct {
     PyObject_HEAD
@@ -837,7 +841,7 @@ pht_tick(GazeKernel *self)
     long long clock = self->pht_clock;
     if (clock >= STAMP_LIMIT) {
         /* Renormalise valid stamps to 0..n-1 in LRU order (unreachable
-         * in practice; mirrors FlatSetAssociativeTable._renormalize). */
+         * in practice; order-preserving, so no lookup can tell). */
         int size = self->pht_sets * self->pht_ways;
         long long rank = 0;
         for (;;) {
@@ -1217,8 +1221,8 @@ Gaze_evict(GazeKernel *self, PyObject *arg)
 static PyObject *
 Gaze_drain(GazeKernel *self, PyObject *Py_UNUSED(ignored))
 {
-    /* Deactivate in LRU -> MRU order, matching FlatGazePrefetcher.drain
-     * (dict insertion order). */
+    /* Deactivate in LRU -> MRU order, matching GazePrefetcher.drain
+     * (the accumulation table's OrderedDict order). */
     while (self->at.head >= 0) {
         int slot = self->at.head;
         learn_slot(self, slot);
@@ -1286,14 +1290,14 @@ static PyTypeObject GazeKernelType = {
     .tp_basicsize = sizeof(GazeKernel),
     .tp_dealloc = (destructor)Gaze_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "C twin of FlatGazePrefetcher's state machine.",
+    .tp_doc = "C twin of GazePrefetcher's state machine.",
     .tp_methods = Gaze_methods,
     .tp_init = (initproc)Gaze_init,
     .tp_new = PyType_GenericNew,
 };
 
 /* ================================================================== */
-/* PMPKernel: C twin of PMPPrefetcher.train_flat / on_cache_eviction   */
+/* PMPKernel: C twin of PMPPrefetcher.train / on_cache_eviction        */
 /* ================================================================== */
 typedef struct {
     PyObject_HEAD
@@ -1483,7 +1487,7 @@ pmp_train_impl(PMPKernel *self, long long address)
             return -1;
         }
         /* Activation: FT -> AT; a displaced AT entry deactivates and
-         * its footprint is merged (train_flat merges deactivations
+         * its footprint is merged (train merges deactivations
          * before checking the trigger, which is None here). */
         ft_drop_slot(&self->ft, fslot);
         int evicted;
@@ -1589,7 +1593,7 @@ static PyTypeObject PMPKernelType = {
     .tp_basicsize = sizeof(PMPKernel),
     .tp_dealloc = (destructor)PMP_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "C twin of PMPPrefetcher's train_flat state machine.",
+    .tp_doc = "C twin of PMPPrefetcher's train state machine.",
     .tp_methods = PMP_methods,
     .tp_init = (initproc)PMP_init,
     .tp_new = PyType_GenericNew,
@@ -1920,7 +1924,7 @@ static PyTypeObject TriangelKernelType = {
 
 /* ================================================================== */
 /* DriverKernel — the batched driver loop of
- * repro.sim.simulator._execute_batched in C: flat array-backed
+ * repro.sim.simulator._execute_batched in C: array-backed
  * L1/L2/LLC state, demand_hit_run-equivalent run scans with batched
  * LRU touches, the fused demand path with exact eviction-listener
  * semantics, MSHR min-ready bookkeeping, DRAM bank/channel timing and
@@ -2513,7 +2517,7 @@ drv_issue_prefetch(DriverKernel *d, long long p, long long cycle)
     }
 }
 
-/* In-process train dispatch (the flat protocol without the Python
+/* In-process train dispatch (packed requests without the Python
  * boundary).  Returns the packed count, -1 for "nothing" (None / the
  * Triangel L1-hit gate), and points *buf at the kernel's out_buf. */
 static int
@@ -3907,7 +3911,7 @@ static PyTypeObject DriverKernelType = {
 static PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernels",
-    .m_doc = "Compiled twins of the flat prefetcher train loops.",
+    .m_doc = "Compiled twins of the prefetcher train loops and the driver loop.",
     .m_size = -1,
 };
 

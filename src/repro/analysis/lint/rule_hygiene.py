@@ -46,7 +46,6 @@ HOT_MODULES = frozenset(
         "src/repro/sim/sharding.py",
         "src/repro/sim/stats.py",
         "src/repro/sim/types.py",
-        "src/repro/prefetchers/arrays.py",
         "src/repro/prefetchers/tables.py",
         "src/repro/prefetchers/spatial_common.py",
     }

@@ -10,11 +10,10 @@ source, AST on the Python source) and fails on any mismatch:
 - ``ptype`` codes: ``driver.PF_*`` vs the C ``DRV_PF_*`` enum, including
   ``PF_PYTHON``, the Python-hosted train callback path
 - cache-block flag bits: ``driver._F_*`` vs the C ``CB_*`` defines
-- the LRU stamp ceiling: ``arrays.DEFAULT_STAMP_LIMIT`` vs ``STAMP_LIMIT``
-- the Berti PC hash mask (``pc & 0xFFFF``) on both sides
+- the Berti PC hash mask (``pc & 0xFFFF``): the C kernel vs ``berti.py``
 - the block shift: every literal ``address >> s`` in C vs ``BLOCK_SIZE``
 - Berti threshold-table length: the C ``!= 64`` check vs the
-  ``[...] * 64`` table builders in ``arrays.py``
+  ``[...] * 64`` table builders in ``compiled.py``
 - geometry caps (history/deltas/blocks/degree <= 64): the C ``_init``
   guards vs the fallback gates in ``compiled.py``
 - keyword-argument lists: each C ``kwlist`` vs the keyword names used at
@@ -36,7 +35,7 @@ from repro.analysis.lint.engine import LintContext
 
 _KERNELS_C = "src/repro/_kernels.c"
 _DRIVER_PY = "src/repro/sim/driver.py"
-_ARRAYS_PY = "src/repro/prefetchers/arrays.py"
+_BERTI_PY = "src/repro/prefetchers/berti.py"
 _TYPES_PY = "src/repro/sim/types.py"
 _COMPILED_PY = "src/repro/prefetchers/compiled.py"
 
@@ -261,38 +260,20 @@ def check(context: LintContext) -> List[Diagnostic]:
             diagnostics,
         )
 
-    # --- stamp ceiling, PC mask, threshold tables (arrays.py) ---------- #
-    if _require(context, _ARRAYS_PY, diagnostics):
-        arrays_tree = context.tree(_ARRAYS_PY)
-        arrays_text = context.text(_ARRAYS_PY)
-
-        stamp = _module_int_constants(arrays_tree, "DEFAULT_STAMP_LIMIT").get(
-            "DEFAULT_STAMP_LIMIT"
-        )
-        c_stamp = re.search(r"#define STAMP_LIMIT \(1LL << (\d+)\)", c_text)
-        if stamp is None:
-            diagnostics.append(_anchor_failure(_ARRAYS_PY, "DEFAULT_STAMP_LIMIT"))
-        elif c_stamp is None:
-            diagnostics.append(_anchor_failure(_KERNELS_C, "#define STAMP_LIMIT"))
-        elif (1 << int(c_stamp.group(1))) != stamp[0]:
-            diagnostics.append(
-                Diagnostic(
-                    "R2", _KERNELS_C, _line_of(c_text, c_stamp.start()),
-                    f"twin drift: C STAMP_LIMIT is 1 << {c_stamp.group(1)} but "
-                    f"arrays.DEFAULT_STAMP_LIMIT is {stamp[0]}",
-                )
-            )
-
+    # --- Berti PC mask (berti.py) -------------------------------------- #
+    if _require(context, _BERTI_PY, diagnostics):
         py_masks = {
             match.group(1).upper()
-            for match in re.finditer(r"\bpc & (0x[0-9A-Fa-f]+)", arrays_text)
+            for match in re.finditer(
+                r"\bpc & (0x[0-9A-Fa-f]+)", context.text(_BERTI_PY)
+            )
         }
         c_masks = {
             (match.group(1).upper(), _line_of(c_text, match.start()))
             for match in re.finditer(r"\bpc & (0x[0-9A-Fa-f]+)", c_text)
         }
         if not py_masks:
-            diagnostics.append(_anchor_failure(_ARRAYS_PY, "the Berti PC mask (pc & 0x...)"))
+            diagnostics.append(_anchor_failure(_BERTI_PY, "the Berti PC mask (pc & 0x...)"))
         elif not c_masks:
             diagnostics.append(_anchor_failure(_KERNELS_C, "the Berti PC mask (pc & 0x...)"))
         else:
@@ -302,44 +283,7 @@ def check(context: LintContext) -> List[Diagnostic]:
                         Diagnostic(
                             "R2", _KERNELS_C, line,
                             f"twin drift: C Berti PC mask {mask} has no match "
-                            f"in {_ARRAYS_PY} (Python uses {sorted(py_masks)})",
-                        )
-                    )
-
-        table_lengths: Dict[str, Tuple[int, int]] = {}
-        for node in ast.walk(arrays_tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            named = {
-                target.attr
-                for target in node.targets
-                if isinstance(target, ast.Attribute)
-            }
-            if not named & {"_l1_occ_thr", "_l2_occ_thr"}:
-                continue
-            if isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Mult):
-                length = _const_int(node.value.right)
-                if length is not None:
-                    for name in named:
-                        table_lengths[name] = (length, node.lineno)
-        c_table = re.search(r"PySequence_Fast_GET_SIZE\(fast\) != (\d+)", c_text)
-        if not table_lengths:
-            diagnostics.append(
-                _anchor_failure(_ARRAYS_PY, "the _l1/_l2_occ_thr table builders")
-            )
-        elif c_table is None:
-            diagnostics.append(
-                _anchor_failure(_KERNELS_C, "the threshold-table length check")
-            )
-        else:
-            c_length = int(c_table.group(1))
-            for name, (length, line) in sorted(table_lengths.items()):
-                if length != c_length:
-                    diagnostics.append(
-                        Diagnostic(
-                            "R2", _ARRAYS_PY, line,
-                            f"twin drift: {name} is built with {length} entries "
-                            f"but the C kernel requires {c_length}",
+                            f"in {_BERTI_PY} (Python uses {sorted(py_masks)})",
                         )
                     )
 
@@ -370,9 +314,46 @@ def check(context: LintContext) -> List[Diagnostic]:
                         )
                     )
 
-    # --- geometry caps (compiled.py fallback gates) -------------------- #
+    # --- threshold tables and geometry caps (compiled.py) -------------- #
     if _require(context, _COMPILED_PY, diagnostics):
         compiled_tree = context.tree(_COMPILED_PY)
+        table_lengths: Dict[str, Tuple[int, int]] = {}
+        for node in ast.walk(compiled_tree):
+            if not isinstance(node, ast.Assign):
+                continue
+            named = {
+                target.attr
+                for target in node.targets
+                if isinstance(target, ast.Attribute)
+            }
+            if not named & {"_l1_occ_thr", "_l2_occ_thr"}:
+                continue
+            if isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Mult):
+                length = _const_int(node.value.right)
+                if length is not None:
+                    for name in named:
+                        table_lengths[name] = (length, node.lineno)
+        c_table = re.search(r"PySequence_Fast_GET_SIZE\(fast\) != (\d+)", c_text)
+        if not table_lengths:
+            diagnostics.append(
+                _anchor_failure(_COMPILED_PY, "the _l1/_l2_occ_thr table builders")
+            )
+        elif c_table is None:
+            diagnostics.append(
+                _anchor_failure(_KERNELS_C, "the threshold-table length check")
+            )
+        else:
+            c_length = int(c_table.group(1))
+            for name, (length, line) in sorted(table_lengths.items()):
+                if length != c_length:
+                    diagnostics.append(
+                        Diagnostic(
+                            "R2", _COMPILED_PY, line,
+                            f"twin drift: {name} is built with {length} entries "
+                            f"but the C kernel requires {c_length}",
+                        )
+                    )
+
         for c_pattern, gate_names in _GEOMETRY_CAPS:
             c_caps = [
                 (int(match.group(1)), _line_of(c_text, match.start()))

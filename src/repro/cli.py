@@ -595,7 +595,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.kernel == "compiled" and not result.get("compiled_kernel_available"):
         print(
             "note: compiled kernel extension not built; single-core cases "
-            "fell back to the pure-Python flat tier "
+            "fell back to the pure-Python tier "
             "(`python setup.py build_ext --inplace` to build it)",
             file=sys.stderr,
         )

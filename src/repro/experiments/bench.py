@@ -141,7 +141,7 @@ class BenchCase:
     recorded in every snapshot and the scalar path keeps regression
     coverage.
 
-    ``kernel`` is the prefetcher-state tier (``"auto"``/``"python"``/
+    ``kernel`` is the prefetcher tier (``"auto"``/``"python"``/
     ``"compiled"``) of single-core cases.  It is deliberately *not* part
     of the case key: a snapshot taken under ``--kernel compiled``
     carries the same keys as a pure-Python one, so ``compare_bench``
@@ -391,7 +391,7 @@ def run_bench(
     ``trace_length`` defaults to :data:`BENCH_TRACE_LENGTH` (resolved at
     call time so tests can shrink the suite).  ``progress`` is an optional
     callable receiving one line per finished case (used by the CLI to
-    stream results).  ``kernel`` selects the prefetcher-state tier of
+    stream results).  ``kernel`` selects the prefetcher tier of
     every single-core case (mix cases drive the multi-core scheduler and
     keep the engine default); case keys are tier-independent, so a
     compiled-tier run compares case-by-case against pure-Python

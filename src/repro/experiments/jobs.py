@@ -67,9 +67,9 @@ class SimulationJob:
     are bit-identical for every value — so it is deliberately excluded
     from :meth:`to_dict` and :meth:`key`.
 
-    ``kernel`` selects the prefetcher-state tier the same way (see
+    ``kernel`` selects the prefetcher tier the same way (see
     :data:`repro.sim.simulator.KERNEL_MODES`): ``"compiled"`` swaps
-    flat-state prefetchers for their C twins when the optional
+    Gaze, vBerti, PMP and Triangel for their C twins when the optional
     :mod:`repro._kernels` extension is built, falling back silently
     otherwise.  Also bit-identical by contract, also excluded from the
     key.

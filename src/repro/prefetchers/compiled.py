@@ -1,33 +1,39 @@
-"""Compiled-kernel wrappers around the flat prefetchers.
+"""Compiled-kernel twins of the object prefetchers.
 
 When the optional C extension :mod:`repro._kernels` has been built
-(``python setup.py build_ext --inplace``), this module exposes twins of
-:class:`~repro.prefetchers.arrays.FlatBertiPrefetcher` and
-:class:`~repro.prefetchers.arrays.FlatGazePrefetcher` whose ``train_flat``
-hot path runs entirely in C.  The Python flat implementations remain the
-bit-exact oracle; the C kernels replicate every LRU touch, eviction order
-and threshold comparison (all float thresholds are precomputed here with
-the exact float comparisons and passed to C as integer tables).
+(``python setup.py build_ext --inplace``), this module exposes subclasses
+of :class:`~repro.core.gaze.GazePrefetcher`,
+:class:`~repro.prefetchers.berti.BertiPrefetcher`,
+:class:`~repro.prefetchers.pmp.PMPPrefetcher` and
+:class:`~repro.prefetchers.temporal.TriangelPrefetcher` whose train hot
+path runs entirely in C.  The object classes remain the bit-exact oracle;
+the C kernels replicate every LRU touch, eviction order and threshold
+comparison.  Float thresholds are precomputed here (or in the object
+constructor) with the exact float comparisons the object classes perform,
+and passed to C as integer tables, so the kernels are pure integer code.
+A twin inherits its configuration and storage accounting from the object
+class; the object tables it constructs stay empty.
 
 Selection is *opt-in* via the ``kernel="compiled"`` knob on
 :func:`repro.sim.simulator.simulate_trace` / the ``--kernel`` CLI flag;
 :func:`compiled_twin` returns ``None`` whenever no compiled artifact
 exists or the prefetcher/geometry is not supported, so callers always
-fall back gracefully to the pure-Python tiers.
+fall back gracefully to the object prefetcher.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.prefetchers.arrays import FlatBertiPrefetcher, FlatGazePrefetcher
+from repro.core.gaze import GazePrefetcher
+from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.pmp import PMPPrefetcher
 from repro.prefetchers.temporal import TriangelPrefetcher
 from repro.sim.types import BLOCK_SIZE, PrefetchHint, PrefetchRequest
 
 try:  # pragma: no cover - exercised only when the extension is built
     from repro import _kernels
-except ImportError:  # plain source checkouts: pure-Python tiers only
+except ImportError:  # plain source checkouts: object prefetchers only
     _kernels = None
 
 
@@ -36,41 +42,86 @@ def compiled_available() -> bool:
     return _kernels is not None
 
 
-class CompiledBertiPrefetcher(FlatBertiPrefetcher):
-    """vBerti whose train loop runs in the C kernel (bit-exact)."""
+class CompiledBertiPrefetcher(BertiPrefetcher):
+    """vBerti whose train loop runs in the C kernel (bit-exact).
+
+    Requires ``history_per_pc <= 64`` and ``max_deltas_per_pc <= 64``
+    (per-PC histories and delta tables are fixed C arrays);
+    :func:`compiled_twin` enforces the limits.
+    """
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         if _kernels is None:
             raise RuntimeError("repro._kernels extension is not built")
+        # Per-``rounds`` occurrence thresholds: the smallest occurrence
+        # count whose clamped confidence ``min(occ/rounds, 1.0)`` passes
+        # each threshold, found with the exact float comparisons the object
+        # implementation applies per delta.  Confidence is monotone in the
+        # occurrence count, so ``occ >= threshold[rounds]`` is equivalent to
+        # the per-delta division and the C issue scan runs entirely on
+        # ints.  ``rounds`` stays below 64 (it is halved when it reaches
+        # 64), and occurrences above ``rounds`` clamp to confidence 1.0, so
+        # scanning 0..rounds is exhaustive.
+        unreachable = 1 << 60
+        self._l2_occ_thr = l2_thr = [unreachable] * 64
+        self._l1_occ_thr = l1_thr = [unreachable] * 64
+        for r in range(1, 64):
+            for occ in range(r + 1):
+                conf = occ / r
+                if conf > 1.0:
+                    conf = 1.0
+                if l2_thr[r] == unreachable and conf >= self.l2_confidence:
+                    l2_thr[r] = occ
+                if l1_thr[r] == unreachable and conf >= self.l1_confidence:
+                    l1_thr[r] = occ
+        # Packed sort keys for issue candidates: ``min(occ, rounds)`` above
+        # an offset-biased delta.  The offset strictly exceeds the delta
+        # window, so keys order by (clamped confidence, delta) descending,
+        # exactly the order of the object implementation's tuple sort.
+        cand_off = 1 << max(10, (self._window_blocks + 1).bit_length())
         self._kernel = _kernels.BertiKernel(
-            pc_entries=self.pc_entries,
+            pc_entries=self.pc_table.capacity,
             history_per_pc=self.history_per_pc,
             max_deltas_per_pc=self.max_deltas_per_pc,
             window_blocks=self._window_blocks,
             max_prefetches=self.max_prefetches_per_access,
-            l2_occ_thr=self._l2_occ_thr,
-            l1_occ_thr=self._l1_occ_thr,
-            cand_off=self._cand_off,
-            cand_shift=self._cand_shift,
+            l2_occ_thr=l2_thr,
+            l1_occ_thr=l1_thr,
+            cand_off=cand_off,
+            cand_shift=cand_off.bit_length(),
         )
-        self.train_flat = self._kernel.train  # type: ignore[method-assign]
+        self._ktrain = self._kernel.train
+
+    def train(self, pc, address, cycle, result=None) -> List[PrefetchRequest]:
+        latency = result.latency if result is not None else self.fetch_latency
+        packed = self._ktrain(pc, address, cycle, latency)
+        if not packed:
+            return []
+        l1 = PrefetchHint.L1
+        l2 = PrefetchHint.L2
+        return [
+            PrefetchRequest((p >> 1) * BLOCK_SIZE, l1 if p & 1 else l2, pc, "berti")
+            for p in packed
+        ]
 
     def reset(self) -> None:
         super().reset()
         self._kernel.reset()
 
 
-class CompiledGazePrefetcher(FlatGazePrefetcher):
+class CompiledGazePrefetcher(GazePrefetcher):
     """Gaze whose train/evict/drain paths run in the C kernel (bit-exact).
 
     Requires ``blocks_per_region <= 64`` (region footprints are single
-    64-bit masks in C); :func:`compiled_twin` enforces the limit.
+    64-bit masks in C) and a ``region_size`` that is a multiple of the
+    block size (packed block numbers must map back to exact byte
+    addresses); :func:`compiled_twin` enforces both.
 
-    The introspection counters (``pht_lookups`` … ``promotions``) live on
-    the C side while training runs and sync onto the instance attributes
-    at the documented points: :meth:`drain` and ``pht_hit_rate`` access —
-    read them through either, not mid-stream.
+    The introspection counters (``pht.lookups``/``hits``/``updates``,
+    ``pht_predictions`` … ``promotions``) live on the C side while
+    training runs and are written onto the object layout by
+    :meth:`drain`; read them after draining, not mid-stream.
     """
 
     _META = ("gaze", "gaze-promo")
@@ -80,16 +131,17 @@ class CompiledGazePrefetcher(FlatGazePrefetcher):
         if _kernels is None:
             raise RuntimeError("repro._kernels extension is not built")
         cfg = self.config
-        if cfg.blocks_per_region > 64:
+        if cfg.blocks_per_region > 64 or cfg.region_size % BLOCK_SIZE:
             raise ValueError(
-                "CompiledGazePrefetcher requires blocks_per_region <= 64"
+                "CompiledGazePrefetcher requires blocks_per_region <= 64 and "
+                f"a region_size that is a multiple of {BLOCK_SIZE}"
             )
         self._kernel = _kernels.GazeKernel(
             blocks=cfg.blocks_per_region,
             region_size=cfg.region_size,
             filter_entries=cfg.filter_entries,
             accumulation_entries=cfg.accumulation_entries,
-            pht_sets=self._pht_sets,
+            pht_sets=self.pht.sets,
             pht_ways=cfg.pht_ways,
             prefetch_buffer_entries=cfg.prefetch_buffer_entries,
             pb_limit=cfg.pb_issue_per_access,
@@ -103,11 +155,6 @@ class CompiledGazePrefetcher(FlatGazePrefetcher):
             stride_backup=int(cfg.enable_stride_backup),
         )
         self._ktrain = self._kernel.train
-
-    def train_flat(
-        self, pc: int, address: int, cycle: int, latency: int
-    ) -> Optional[List[int]]:
-        return self._ktrain(pc, address)
 
     def train(self, pc, address, cycle, result=None) -> List[PrefetchRequest]:
         packed = self._ktrain(pc, address)
@@ -127,26 +174,16 @@ class CompiledGazePrefetcher(FlatGazePrefetcher):
 
     def drain(self) -> None:
         self._kernel.drain()
-        self._sync_counters()
-
-    def _sync_counters(self) -> None:
-        """Copy the C-side introspection counters onto the instance."""
+        pht = self.pht
         (
-            self.pht_lookups,
-            self.pht_hits,
-            self.pht_updates,
+            pht.lookups,
+            pht.hits,
+            pht.updates,
             self.pht_predictions,
             self.streaming_predictions,
             self.backup_activations,
             self.promotions,
         ) = self._kernel.counters()
-
-    @property
-    def pht_hit_rate(self) -> float:
-        self._sync_counters()
-        if not self.pht_lookups:
-            return 0.0
-        return self.pht_hits / self.pht_lookups
 
     def reset(self) -> None:
         super().reset()
@@ -182,11 +219,6 @@ class CompiledPMPPrefetcher(PMPPrefetcher):
         )
         self._ktrain = self._kernel.train
 
-    def train_flat(
-        self, pc: int, address: int, cycle: int, latency: int
-    ) -> Optional[List[int]]:
-        return self._ktrain(pc, address)
-
     def train(self, pc, address, cycle, result=None) -> List[PrefetchRequest]:
         packed = self._ktrain(pc, address)
         if not packed:
@@ -209,12 +241,9 @@ class CompiledPMPPrefetcher(PMPPrefetcher):
 class CompiledTriangelPrefetcher(TriangelPrefetcher):
     """Triangel whose train loop runs in the C kernel (bit-exact).
 
-    Deliberately does **not** expose ``train_flat``: the flat protocol's
-    ``(pc, address, cycle, latency)`` signature cannot distinguish
-    accesses served by the L1D, which Triangel's training unit must skip
-    (it observes the miss stream).  The object :meth:`train` keeps the
-    hit-level gate and forwards the surviving accesses to C; the compiled
-    *driver* applies the same gate natively.
+    Triangel's training unit observes the L1 miss stream, so :meth:`train`
+    keeps the object class's hit-level gate and forwards only the surviving
+    accesses to C; the compiled *driver* applies the same gate natively.
     """
 
     def __init__(self, **kwargs) -> None:
@@ -258,31 +287,35 @@ def compiled_twin(prefetcher):
     Returns a *fresh* instance configured identically (kernel selection
     happens before any training, so no state transfer is needed).  The
     compiled classes themselves pass through unchanged.
+
+    Only the exact object classes map to a twin: a subclass (the Gaze
+    ablations ``GazePHTOnly``, ``VirtualGaze`` and ``StreamingOnlyGaze``,
+    for instance) overrides behaviour the C kernel does not replicate, so
+    it keeps running as itself.
     """
     if _kernels is None:
         return None
-    if isinstance(
-        prefetcher,
-        (
-            CompiledBertiPrefetcher,
-            CompiledGazePrefetcher,
-            CompiledPMPPrefetcher,
-            CompiledTriangelPrefetcher,
-        ),
+    kind = type(prefetcher)
+    if kind in (
+        CompiledBertiPrefetcher,
+        CompiledGazePrefetcher,
+        CompiledPMPPrefetcher,
+        CompiledTriangelPrefetcher,
     ):
         return prefetcher
-    if isinstance(prefetcher, FlatGazePrefetcher):
-        if prefetcher.config.blocks_per_region > 64:
+    if kind is GazePrefetcher:
+        config = prefetcher.config
+        if config.blocks_per_region > 64 or config.region_size % BLOCK_SIZE:
             return None
-        return CompiledGazePrefetcher(prefetcher.config)
-    if isinstance(prefetcher, FlatBertiPrefetcher):
+        return CompiledGazePrefetcher(config)
+    if kind is BertiPrefetcher:
         if (
             prefetcher.history_per_pc > 64
             or prefetcher.max_deltas_per_pc > 64
         ):
             return None
         return CompiledBertiPrefetcher(
-            pc_entries=prefetcher.pc_entries,
+            pc_entries=prefetcher.pc_table.capacity,
             history_per_pc=prefetcher.history_per_pc,
             max_deltas_per_pc=prefetcher.max_deltas_per_pc,
             page_window=prefetcher.page_window,
@@ -292,7 +325,7 @@ def compiled_twin(prefetcher):
             region_size=prefetcher.region_size,
             fetch_latency=prefetcher.fetch_latency,
         )
-    if isinstance(prefetcher, PMPPrefetcher):
+    if kind is PMPPrefetcher:
         if prefetcher.blocks > 64:
             return None
         return CompiledPMPPrefetcher(
@@ -304,7 +337,7 @@ def compiled_twin(prefetcher):
             l2_threshold=prefetcher.l2_threshold,
             anchor_patterns=prefetcher.anchor_patterns,
         )
-    if isinstance(prefetcher, TriangelPrefetcher):
+    if kind is TriangelPrefetcher:
         if prefetcher.degree > 64:
             return None
         return CompiledTriangelPrefetcher(

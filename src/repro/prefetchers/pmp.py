@@ -92,48 +92,6 @@ class PMPPrefetcher(Prefetcher):
             return []
         return self._predict(trigger.region, trigger.offset, trigger.pc)
 
-    def train_flat(
-        self, pc: int, address: int, cycle: int, latency: int
-    ) -> Optional[List[int]]:
-        """Packed-protocol twin of :meth:`train`.
-
-        Returns ``(block << 1) | to_l1`` ints (or ``None``) instead of
-        :class:`PrefetchRequest` objects — PMP emits several requests per
-        trigger, so skipping the object construction matters.  Identical
-        decisions in identical order.
-        """
-        trigger, _activation, deactivations, _entry = self._observe(pc, address)
-
-        for event in deactivations:
-            self._merge(event.trigger_offset, event.footprint)
-
-        if trigger is None:
-            return None
-        trigger_offset = trigger.offset
-        observed = self.merge_counts[trigger_offset]
-        if observed == 0:
-            return None
-        counters = self.offset_pattern_table[trigger_offset]
-        max_confidence = self.max_confidence
-        scale = observed if observed < max_confidence else max_confidence
-        l1_min = self._l1_min[scale]
-        l2_min = self._l2_min[scale]
-        blocks = self.blocks
-        anchor = self.anchor_patterns
-        base = trigger.region * blocks
-        packed: List[int] = []
-        append = packed.append
-        for block, count in enumerate(counters):
-            if count < l2_min:
-                continue
-            target_offset = (block + trigger_offset) % blocks if anchor else block
-            if target_offset == trigger_offset:
-                continue
-            append(
-                (base + target_offset) << 1 | (1 if count >= l1_min else 0)
-            )
-        return packed
-
     def on_cache_eviction(self, block: int) -> None:
         event = self.tracker.on_block_eviction(block)
         if event is not None:

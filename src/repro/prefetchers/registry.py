@@ -85,31 +85,6 @@ def is_registered(name: str) -> bool:
     return False
 
 
-#: Valid values of the ``state`` knob accepted by the flat-capable
-#: factories (``gaze``, ``vberti``).
-STATE_MODES = ("auto", "flat", "object")
-
-
-def _pop_state(kwargs: dict) -> str:
-    """Extract and validate the ``state`` knob from factory kwargs."""
-    state = kwargs.pop("state", "auto")
-    if state not in STATE_MODES:
-        raise ValueError(
-            f"unknown prefetcher state {state!r}; expected one of {STATE_MODES}"
-        )
-    return state
-
-
-def _make_vberti(**kwargs) -> Prefetcher:
-    """vBerti factory honouring the ``state`` knob (flat by default)."""
-    state = _pop_state(kwargs)
-    if state == "object":
-        return BertiPrefetcher(**kwargs)
-    from repro.prefetchers.arrays import FlatBertiPrefetcher
-
-    return FlatBertiPrefetcher(**kwargs)
-
-
 def _make_gaze(variant: str, **kwargs) -> Prefetcher:
     """Instantiate a Gaze variant, importing :mod:`repro.core` lazily.
 
@@ -117,7 +92,7 @@ def _make_gaze(variant: str, **kwargs) -> Prefetcher:
     the table primitives of this package, so Gaze classes cannot be imported
     while ``repro.prefetchers`` itself is still initialising.
     """
-    from repro.core.gaze import GazePrefetcher
+    from repro.core.gaze import GazeConfig, GazePrefetcher
     from repro.core.variants import (
         GazePHTOnly,
         NInitialAccessGaze,
@@ -131,22 +106,7 @@ def _make_gaze(variant: str, **kwargs) -> Prefetcher:
     if variant == "gaze":
         # Keyword arguments are GazeConfig fields (Fig. 17 sweeps region and
         # PHT sizes through here without shipping live objects to workers).
-        # ``state`` selects the table representation: "flat" (array-backed,
-        # packed-request protocol), "object" (the original dataclass
-        # tables), or "auto" (default) which picks flat whenever the
-        # geometry supports it — both are bit-exact, so this is purely a
-        # performance knob.
-        from repro.core.gaze import GazeConfig
-
-        state = _pop_state(kwargs)
-        config = GazeConfig(**kwargs) if kwargs else None
-        if state == "object" or (
-            state == "auto" and (config is not None and config.region_size % 64)
-        ):
-            return GazePrefetcher(config) if config is not None else GazePrefetcher()
-        from repro.prefetchers.arrays import FlatGazePrefetcher
-
-        return FlatGazePrefetcher(config)
+        return GazePrefetcher(GazeConfig(**kwargs))
 
     # Every entry forwards kwargs, so configured creation either applies the
     # parameters or raises TypeError — never silently runs the default.
@@ -176,7 +136,7 @@ def _register_defaults() -> None:
     register_prefetcher("ipcp", IPCPPrefetcher)
     register_prefetcher("ipcp-l1", IPCPPrefetcher)
     register_prefetcher("spp-ppf", SPPPrefetcher)
-    register_prefetcher("vberti", _make_vberti)
+    register_prefetcher("vberti", BertiPrefetcher)
 
     # The temporal (address-correlating) tier: the other side of the
     # paper's spatial-vs-temporal line (PAPERS.md: Triangel; GHB G/AC as

@@ -54,12 +54,13 @@ from repro.sim.types import (
 #: Accepted values of the ``batch`` execution knob.
 BATCH_MODES = ("auto", "on", "off")
 
-#: Accepted values of the ``kernel`` execution knob: the prefetcher-state
-#: tier.  ``"auto"``/``"python"`` run the (pure-Python) tier the registry
-#: selected; ``"compiled"`` swaps flat-state prefetchers for their C twins
-#: when the optional :mod:`repro._kernels` extension is built, falling
-#: back silently otherwise.  All tiers are bit-exact, so this is purely a
-#: performance knob (and is excluded from job cache keys, like ``batch``).
+#: Accepted values of the ``kernel`` execution knob.  ``"auto"``/``"python"``
+#: run the registered (pure-Python object) prefetcher in the Python driver;
+#: ``"compiled"`` swaps Gaze, vBerti, PMP and Triangel for their C twins
+#: and runs the batched driver loop in C when the optional
+#: :mod:`repro._kernels` extension is built, falling back silently
+#: otherwise.  Both tiers are bit-exact, so this is purely a performance
+#: knob (and is excluded from job cache keys, like ``batch``).
 KERNEL_MODES = ("auto", "python", "compiled")
 
 
@@ -67,8 +68,9 @@ def resolve_kernel(prefetcher, kernel: str):
     """Apply the ``kernel`` knob to ``prefetcher`` (graceful fallback).
 
     Returns the prefetcher to simulate with: the compiled twin under
-    ``kernel="compiled"`` when one is available (flat-state prefetcher,
-    supported geometry, extension built), the input unchanged otherwise.
+    ``kernel="compiled"`` when one is available (see
+    :func:`~repro.prefetchers.compiled.compiled_twin`), the input unchanged
+    otherwise.
     """
     if kernel not in KERNEL_MODES:
         raise ValueError(
@@ -1120,19 +1122,13 @@ class SingleCoreSimulator:
             # are stored as packed ints — ``block << 1 | to_l1`` — and
             # issued through :meth:`CacheHierarchy._issue_prefetch`'s body
             # inlined below against the already-bound cache locals, so no
-            # :class:`PrefetchRequest` travels through the hot path.  Flat
-            # prefetchers (``train_flat``) produce packed ints natively;
-            # object prefetchers' requests are packed at enqueue (the sim
-            # layer only ever reads ``address`` and ``hint``, and every
-            # non-L1 hint takes the L2 fill branch, so the single to-L1 bit
-            # is behaviourally lossless).  Leftover entries are converted
-            # back to ``(request, cycle)`` tuples at exit, preserving the
-            # PQ representation every other code path uses.
-            train_flat = (
-                getattr(prefetcher, "train_flat", None)
-                if train is not None
-                else None
-            )
+            # :class:`PrefetchRequest` travels through the hot path.  The
+            # prefetcher's requests are packed at enqueue (the sim layer
+            # only ever reads ``address`` and ``hint``, and every non-L1
+            # hint takes the L2 fill branch, so the single to-L1 bit is
+            # behaviourally lossless).  Leftover entries are converted back
+            # to ``(request, cycle)`` tuples at exit, preserving the PQ
+            # representation every other code path uses.
             use_packed = inline_ok and train is not None
             if use_packed and pending_prefetches:
                 for _ in range(len(pending_prefetches)):
@@ -1705,17 +1701,22 @@ class SingleCoreSimulator:
                     fetch = issue
 
                 if kind == 0 and train is not None:
-                    if train_flat is not None and use_packed:
-                        # Flat protocol: packed ints straight from the
-                        # prefetcher, enqueued with push()'s bookkeeping
-                        # batched per call as enqueue_prefetches does.
-                        packed = train_flat(pc, address, issue_cycle, latency)
-                        if packed:
-                            total = len(packed)
+                    requests = train(pc, address, issue_cycle, result)
+                    if requests:
+                        if not use_packed:
+                            enqueue_prefetches(requests, issue_cycle)
+                        else:
+                            # push()'s bookkeeping batched per call, as
+                            # enqueue_prefetches does.
+                            total = 0
                             accepted = 0
-                            for p in packed:
+                            for request in requests:
+                                total += 1
                                 if len(pending_prefetches) < pq_capacity:
-                                    pq_append(p)
+                                    pq_append(
+                                        (request.address >> 6) << 1
+                                        | (1 if request.hint is hint_l1 else 0)
+                                    )
                                     accepted += 1
                             prefetch_queue.enqueued += accepted
                             prefetch_stats.generated += total
@@ -1723,32 +1724,6 @@ class SingleCoreSimulator:
                                 dropped = total - accepted
                                 prefetch_queue.dropped_full += dropped
                                 prefetch_stats.dropped_queue_full += dropped
-                    else:
-                        requests = train(pc, address, issue_cycle, result)
-                        if requests:
-                            if not use_packed:
-                                enqueue_prefetches(requests, issue_cycle)
-                            else:
-                                total = 0
-                                accepted = 0
-                                for request in requests:
-                                    total += 1
-                                    if len(pending_prefetches) < pq_capacity:
-                                        pq_append(
-                                            (request.address >> 6) << 1
-                                            | (
-                                                1
-                                                if request.hint is hint_l1
-                                                else 0
-                                            )
-                                        )
-                                        accepted += 1
-                                prefetch_queue.enqueued += accepted
-                                prefetch_stats.generated += total
-                                if accepted != total:
-                                    dropped = total - accepted
-                                    prefetch_queue.dropped_full += dropped
-                                    prefetch_stats.dropped_queue_full += dropped
 
             if use_packed and pending_prefetches:
                 # Convert surviving packed entries back to the standard

@@ -1,22 +1,17 @@
-"""Flat prefetcher state: table semantics and cross-tier equality.
+"""Cross-tier equality: every prefetcher, every kernel, bit-identical.
 
-The array-backed prefetcher tier (:mod:`repro.prefetchers.arrays`) and the
-optional compiled tier (:mod:`repro.prefetchers.compiled`, built from
-``src/repro/_kernels.c``) must be *bit-identical* to the object-table
-implementations for every statistic of every registered prefetcher.  These
-tests pin:
+Each design has one Python implementation (the object classes) and, for
+Gaze, vBerti, PMP and Triangel, an optional C twin
+(:mod:`repro.prefetchers.compiled`, built from ``src/repro/_kernels.c``).
+Every statistic of every registered prefetcher must be identical across
+tiers.  These tests pin:
 
-* the :class:`FlatSetAssociativeTable` replacement semantics against an
-  ``OrderedDict`` reference model — per-set LRU eviction, invalid-slot
-  preference, tag aliasing across sets, and stamp-clock wraparound with a
-  tiny ``stamp_limit``;
-* :class:`FlatLRUTable` eviction order and slot reuse;
 * whole-simulation equality across every tier combination — scalar vs
-  batched kernel x ``state`` knob (object vs flat tables) x ``kernel``
-  knob (pure Python vs the compiled extension, when built);
-* the compiled-twin substitution rules (:func:`compiled_twin`) and the
-  graceful fallback when a configuration the C kernels cannot represent
-  is requested;
+  batched kernel x ``kernel`` knob (pure Python vs the compiled
+  extension, when built);
+* the compiled-twin substitution rules (:func:`compiled_twin`): only the
+  exact object classes are swapped, and configurations the C kernels
+  cannot represent fall back gracefully;
 * chunked streaming (:class:`repro.sim.batch.ChunkedTraceStream`) against
   the scalar streamed path, including replayed instruction budgets and
   warm-up boundaries with deliberately tiny chunk sizes.
@@ -24,18 +19,11 @@ tests pin:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import pytest
 
-from repro.core.gaze import GazeConfig
+from repro.core.gaze import GazeConfig, GazePrefetcher
 from repro.prefetchers import available_prefetchers, create_prefetcher
-from repro.prefetchers.arrays import (
-    FlatBertiPrefetcher,
-    FlatGazePrefetcher,
-    FlatLRUTable,
-    FlatSetAssociativeTable,
-)
+from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.compiled import compiled_available, compiled_twin
 from repro.sim.batch import ChunkedTraceStream
 from repro.sim.simulator import KERNEL_MODES, resolve_kernel, simulate_trace
@@ -66,179 +54,6 @@ def _trace(generator="cloud", seed=5, length=1_500):
         name=f"{generator}-s{seed}", suite="test", generator=generator,
         seed=seed, length=length,
     ).build()
-
-
-# --------------------------------------------------------------------------- #
-# FlatSetAssociativeTable against an OrderedDict reference model
-# --------------------------------------------------------------------------- #
-class _SetAssocModel:
-    """Per-set ``OrderedDict`` LRU model (mirrors the object-table tier)."""
-
-    def __init__(self, sets, ways):
-        self.ways = ways
-        self.sets = [OrderedDict() for _ in range(sets)]
-
-    def lookup(self, set_index, tag, touch=True):
-        lru = self.sets[set_index]
-        if tag not in lru:
-            return False
-        if touch:
-            lru.move_to_end(tag)
-        return True
-
-    def insert(self, set_index, tag):
-        """Returns the evicted tag or None, as the flat table does."""
-        lru = self.sets[set_index]
-        if tag in lru:
-            lru.move_to_end(tag)
-            return None
-        evicted = None
-        if len(lru) >= self.ways:
-            evicted, _ = lru.popitem(last=False)
-        lru[tag] = True
-        return evicted
-
-    def remove(self, set_index, tag):
-        self.sets[set_index].pop(tag, None)
-
-    def lru_tag(self, set_index):
-        lru = self.sets[set_index]
-        return next(iter(lru)) if lru else None
-
-
-class TestFlatSetAssociativeTable:
-    def test_lru_eviction_order_matches_reference_model(self):
-        table = FlatSetAssociativeTable(sets=4, ways=4)
-        model = _SetAssocModel(sets=4, ways=4)
-        import random
-
-        rng = random.Random(42)
-        for _ in range(3_000):
-            set_index = rng.randrange(4)
-            tag = rng.randrange(12)
-            op = rng.randrange(4)
-            if op == 0:
-                hit = table.lookup(set_index, tag) >= 0
-                assert hit == model.lookup(set_index, tag)
-            elif op == 1:
-                hit = table.lookup(set_index, tag, touch=False) >= 0
-                assert hit == model.lookup(set_index, tag, touch=False)
-            elif op == 2:
-                _, evicted = table.insert(set_index, tag)
-                assert evicted == model.insert(set_index, tag)
-            else:
-                table.remove(set_index, tag)
-                model.remove(set_index, tag)
-            assert table.lru_tag(set_index) == model.lru_tag(set_index)
-
-    def test_wraparound_stamps_preserve_lru_order(self):
-        # A stamp limit small enough that renormalisation fires hundreds of
-        # times; replacement decisions must stay identical to the model.
-        table = FlatSetAssociativeTable(sets=2, ways=4, stamp_limit=8)
-        model = _SetAssocModel(sets=2, ways=4)
-        import random
-
-        rng = random.Random(7)
-        renorms = 0
-        for step in range(2_000):
-            set_index = step & 1
-            tag = rng.randrange(9)
-            before = table._clock
-            _, evicted = table.insert(set_index, tag)
-            if table._clock <= before:
-                renorms += 1
-            assert evicted == model.insert(set_index, tag)
-            assert table.lru_tag(set_index) == model.lru_tag(set_index)
-        assert renorms > 100  # the tiny limit really was exercised
-
-    def test_invalid_slots_claimed_before_any_eviction(self):
-        table = FlatSetAssociativeTable(sets=1, ways=3)
-        slots = [table.insert(0, tag)[0] for tag in (10, 11, 12)]
-        assert sorted(slots) == [0, 1, 2]
-        freed = table.remove(0, 11)
-        slot, evicted = table.insert(0, 13)
-        assert slot == freed and evicted is None  # reuse, not eviction
-        assert table.evictions == 0
-
-    def test_same_tag_aliases_across_sets(self):
-        table = FlatSetAssociativeTable(sets=4, ways=2)
-        column = table.add_column("payload")
-        for set_index in range(4):
-            slot, _ = table.insert(set_index, tag=99)
-            column[slot] = set_index * 100
-        for set_index in range(4):
-            slot = table.lookup(set_index, 99)
-            assert slot >= 0 and column[slot] == set_index * 100
-
-    def test_eviction_exposes_victim_payload_before_overwrite(self):
-        table = FlatSetAssociativeTable(sets=1, ways=2)
-        column = table.add_column("payload", fill=-1)
-        slot_a, _ = table.insert(0, 1)
-        column[slot_a] = 111
-        slot_b, _ = table.insert(0, 2)
-        column[slot_b] = 222
-        slot, evicted = table.insert(0, 3)
-        assert evicted == 1 and column[slot] == 111  # victim payload intact
-        assert table.evictions == 1
-
-    def test_reinsert_refreshes_without_eviction(self):
-        table = FlatSetAssociativeTable(sets=1, ways=2)
-        table.insert(0, 1)
-        table.insert(0, 2)
-        slot, evicted = table.insert(0, 1)  # refresh: now 2 is LRU
-        assert evicted is None
-        assert table.lru_tag(0) == 2
-        _, evicted = table.insert(0, 3)
-        assert evicted == 2
-
-    def test_clear_resets_occupancy_and_clock(self):
-        table = FlatSetAssociativeTable(sets=2, ways=2)
-        for tag in range(4):
-            table.insert(tag & 1, tag)
-        table.clear()
-        assert len(table) == 0
-        assert table.lru_tag(0) is None
-        assert all(table.lookup(s, t) < 0 for s in range(2) for t in range(4))
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            FlatSetAssociativeTable(sets=0, ways=4)
-        with pytest.raises(ValueError):
-            FlatSetAssociativeTable(sets=4, ways=0)
-
-
-class TestFlatLRUTable:
-    def test_eviction_order_matches_ordered_dict(self):
-        # insert() is new-keys-only by contract (hot paths check membership
-        # first); existing keys are refreshed via lookup().
-        table = FlatLRUTable(capacity=4)
-        model = OrderedDict()
-        import random
-
-        rng = random.Random(3)
-        for _ in range(2_000):
-            key = rng.randrange(10)
-            if key in model or rng.randrange(3) == 0:
-                hit = table.lookup(key) >= 0
-                assert hit == (key in model)
-                if key in model:
-                    model.move_to_end(key)
-            else:
-                _, evicted = table.insert(key)
-                expected = None
-                if len(model) >= 4:
-                    expected, _ = model.popitem(last=False)
-                model[key] = True
-                assert evicted == expected
-            assert table.keys_lru_to_mru() == list(model)
-
-    def test_removed_slot_is_reused(self):
-        table = FlatLRUTable(capacity=3)
-        slots = {key: table.insert(key)[0] for key in (1, 2, 3)}
-        freed = table.remove(2)
-        assert freed == slots[2]
-        slot, evicted = table.insert(4)
-        assert slot == freed and evicted is None
 
 
 # --------------------------------------------------------------------------- #
@@ -274,19 +89,6 @@ class TestAllTierEquality:
                     f"{prefetcher_name}, batch={batch}, kernel={kernel}",
                 )
 
-    @pytest.mark.parametrize("prefetcher_name", ["gaze", "vberti"])
-    def test_state_knob_object_vs_flat(self, prefetcher_name):
-        trace = _trace(generator="graph", seed=11, length=1_500)
-        object_tier = simulate_trace(
-            trace, prefetcher=create_prefetcher(prefetcher_name, state="object"),
-            batch="off",
-        )
-        flat_tier = simulate_trace(
-            trace, prefetcher=create_prefetcher(prefetcher_name, state="flat"),
-            batch="off",
-        )
-        _assert_identical(object_tier, flat_tier, f"{prefetcher_name} state knob")
-
     def test_budget_and_warmup_boundaries_across_kernels(self):
         trace = _trace(generator="strided", seed=2, length=1_000)
         for kwargs in (
@@ -311,70 +113,105 @@ class TestAllTierEquality:
         with pytest.raises(ValueError):
             resolve_kernel(create_prefetcher("gaze"), "jit")
 
+    def test_stale_state_knob_fails_loudly(self):
+        # ``state`` is not a prefetcher parameter: a stale knob must raise
+        # rather than be silently ignored.
+        with pytest.raises(TypeError):
+            create_prefetcher("gaze", state="flat")
+        with pytest.raises(TypeError):
+            create_prefetcher("vberti", state="object")
+
 
 # --------------------------------------------------------------------------- #
 # Compiled-twin substitution rules
 # --------------------------------------------------------------------------- #
 class TestCompiledTwin:
-    def test_non_flat_prefetchers_have_no_twin(self):
-        assert compiled_twin(create_prefetcher("gaze", state="object")) is None
+    def test_prefetchers_without_a_kernel_have_no_twin(self):
         assert compiled_twin(create_prefetcher("bop")) is None
+        assert compiled_twin(create_prefetcher("ghb")) is None
         assert compiled_twin(None) is None
 
+    @pytest.mark.parametrize(
+        "prefetcher_name", ["gaze-pht", "pht4ss", "sm4ss", "vgaze-4kb"]
+    )
+    def test_gaze_subclasses_are_not_swapped_for_plain_gaze(
+        self, prefetcher_name
+    ):
+        # These ablations subclass GazePrefetcher but change its behaviour;
+        # the C Gaze kernel replicates only the exact class.
+        prefetcher = create_prefetcher(prefetcher_name)
+        assert isinstance(prefetcher, GazePrefetcher)
+        assert compiled_twin(prefetcher) is None
+        trace = _trace(generator="graph", seed=11, length=1_500)
+        python = simulate_trace(
+            trace, prefetcher=create_prefetcher(prefetcher_name),
+            kernel="python",
+        )
+        compiled = simulate_trace(
+            trace, prefetcher=create_prefetcher(prefetcher_name),
+            kernel="compiled",
+        )
+        _assert_identical(python, compiled, f"{prefetcher_name} compiled")
+
     @requires_compiled
-    def test_flat_prefetchers_get_compiled_twins(self):
+    def test_object_prefetchers_get_compiled_twins(self):
         from repro.prefetchers.compiled import (
             CompiledBertiPrefetcher,
             CompiledGazePrefetcher,
         )
 
-        gaze_twin = compiled_twin(FlatGazePrefetcher())
-        berti_twin = compiled_twin(FlatBertiPrefetcher())
-        assert isinstance(gaze_twin, CompiledGazePrefetcher)
-        assert isinstance(berti_twin, CompiledBertiPrefetcher)
+        gaze_twin = compiled_twin(create_prefetcher("gaze"))
+        berti_twin = compiled_twin(create_prefetcher("vberti"))
+        assert type(gaze_twin) is CompiledGazePrefetcher
+        assert type(berti_twin) is CompiledBertiPrefetcher
         # Already-compiled instances pass through untouched.
         assert compiled_twin(gaze_twin) is gaze_twin
+        assert compiled_twin(berti_twin) is berti_twin
 
     @requires_compiled
     def test_unrepresentable_configs_fall_back(self):
         # 128 blocks per region exceeds the C kernels' 64-bit footprint
         # masks; the twin must decline rather than truncate.
-        wide = FlatGazePrefetcher(GazeConfig(region_size=128 * 64))
+        wide = GazePrefetcher(GazeConfig(region_size=128 * 64))
         assert compiled_twin(wide) is None
-        deep = FlatBertiPrefetcher(history_per_pc=80)
+        deep = BertiPrefetcher(history_per_pc=80)
         assert compiled_twin(deep) is None
 
     @requires_compiled
     def test_resolve_kernel_swaps_in_the_twin(self):
         from repro.prefetchers.compiled import CompiledGazePrefetcher
 
-        flat = FlatGazePrefetcher()
-        assert isinstance(resolve_kernel(flat, "compiled"), CompiledGazePrefetcher)
-        assert resolve_kernel(flat, "python") is flat
-        assert resolve_kernel(flat, "auto") is flat
+        gaze = create_prefetcher("gaze")
+        assert isinstance(resolve_kernel(gaze, "compiled"), CompiledGazePrefetcher)
+        assert resolve_kernel(gaze, "python") is gaze
+        assert resolve_kernel(gaze, "auto") is gaze
         assert resolve_kernel(None, "compiled") is None
 
     @requires_compiled
     def test_compiled_gaze_counters_match_python(self):
         trace = _trace(generator="mixed", seed=8, length=2_000)
-        flat = create_prefetcher("gaze", state="flat")
-        comp = compiled_twin(flat)
-        simulate_trace(trace, prefetcher=flat)
-        simulate_trace(trace, prefetcher=comp)
-        # The C-side counters sync onto the instance at the documented
-        # points: drain() and pht_hit_rate access.
-        assert flat.pht_hit_rate == comp.pht_hit_rate
+        python = create_prefetcher("gaze")
+        compiled = compiled_twin(create_prefetcher("gaze"))
+        simulate_trace(trace, prefetcher=python)
+        simulate_trace(trace, prefetcher=compiled)
+        # The C-side counters are written onto the object layout by drain().
+        python.drain()
+        compiled.drain()
+        assert python.pht.lookups > 0
+        assert python.pht.hit_rate == compiled.pht.hit_rate
+        for attr in ("lookups", "hits", "updates"):
+            assert getattr(python.pht, attr) == getattr(compiled.pht, attr), attr
         for attr in (
-            "pht_lookups", "pht_hits", "pht_updates", "pht_predictions",
-            "streaming_predictions", "backup_activations", "promotions",
+            "pht_predictions", "streaming_predictions", "backup_activations",
+            "promotions",
         ):
-            assert getattr(flat, attr) == getattr(comp, attr), attr
+            assert getattr(python, attr) == getattr(compiled, attr), attr
 
     @requires_compiled
     def test_compiled_reset_restores_initial_state(self):
         trace = _trace(length=800)
-        fresh = compiled_twin(create_prefetcher("gaze", state="flat"))
-        used = compiled_twin(create_prefetcher("gaze", state="flat"))
+        fresh = compiled_twin(create_prefetcher("gaze"))
+        used = compiled_twin(create_prefetcher("gaze"))
         first = simulate_trace(trace, prefetcher=used)
         used.reset()
         again = simulate_trace(trace, prefetcher=used)

@@ -29,7 +29,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 R2_ANCHORS = (
     "src/repro/_kernels.c",
     "src/repro/sim/driver.py",
-    "src/repro/prefetchers/arrays.py",
+    "src/repro/prefetchers/berti.py",
     "src/repro/sim/types.py",
     "src/repro/prefetchers/compiled.py",
 )
@@ -271,19 +271,34 @@ class TestR2TwinConstants:
         message = report.diagnostics[0].message
         assert "twin drift" in message and "PF_PYTHON" in message
 
-    def test_seeded_stamp_limit_drift_is_caught(self, tmp_path):
+    def test_seeded_berti_pc_mask_drift_is_caught(self, tmp_path):
         _copy_anchors(tmp_path)
-        arrays = tmp_path / "src/repro/prefetchers/arrays.py"
-        text = arrays.read_text(encoding="utf-8")
-        assert "DEFAULT_STAMP_LIMIT = 1 << 60" in text
-        arrays.write_text(
-            text.replace(
-                "DEFAULT_STAMP_LIMIT = 1 << 60", "DEFAULT_STAMP_LIMIT = 1 << 59"
-            ),
+        berti = tmp_path / "src/repro/prefetchers/berti.py"
+        text = berti.read_text(encoding="utf-8")
+        assert "pc & 0xFFFF" in text
+        berti.write_text(
+            text.replace("pc & 0xFFFF", "pc & 0xFFF"), encoding="utf-8"
+        )
+        report = run_lint(root=tmp_path, rules=["R2"])
+        assert len(report.diagnostics) == 1
+        message = report.diagnostics[0].message
+        assert "twin drift" in message and "PC mask" in message
+
+    def test_seeded_threshold_table_drift_is_caught(self, tmp_path):
+        _copy_anchors(tmp_path)
+        compiled = tmp_path / "src/repro/prefetchers/compiled.py"
+        text = compiled.read_text(encoding="utf-8")
+        assert "[unreachable] * 64" in text
+        compiled.write_text(
+            text.replace("[unreachable] * 64", "[unreachable] * 63"),
             encoding="utf-8",
         )
         report = run_lint(root=tmp_path, rules=["R2"])
-        assert any("STAMP_LIMIT" in d.message for d in report.diagnostics)
+        assert len(report.diagnostics) == 2  # both the L1 and L2 tables
+        assert all(
+            "twin drift" in d.message and "_occ_thr" in d.message
+            for d in report.diagnostics
+        )
 
     def test_missing_anchor_is_loud(self, tmp_path):
         _copy_anchors(tmp_path)
