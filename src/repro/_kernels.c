@@ -1924,15 +1924,17 @@ static PyTypeObject TriangelKernelType = {
 
 /* ================================================================== */
 /* DriverKernel — the batched driver loop of
- * repro.sim.simulator._execute_batched in C: array-backed
- * L1/L2/LLC state, demand_hit_run-equivalent run scans with batched
- * LRU touches, the fused demand path with exact eviction-listener
- * semantics, MSHR min-ready bookkeeping, DRAM bank/channel timing and
- * the simple-core clock.  The Python batched driver stays the
- * bit-exact oracle; repro.sim.driver loads a snapshot of the live
- * hierarchy, feeds whole BatchedTrace chunks per run() call, drains
- * the prefetch queue and MSHR file with flush() at the end of a run,
- * and exports the cache/DRAM/MSHR state back only when it is read.
+ * repro.sim.simulator._execute_batched in C, one per-access loop like
+ * its Python twin: array-backed L1/L2/LLC state, demand_hit_run-
+ * equivalent L1-hit run scans with batched LRU touches (prefetcher-less
+ * runs only), the inlined demand chain with exact eviction-listener
+ * semantics, the packed PQ drain, MSHR min-ready bookkeeping, DRAM
+ * bank/channel timing and the simple-core clock.  The Python batched
+ * driver stays the bit-exact oracle; repro.sim.driver loads a snapshot
+ * of the live hierarchy, feeds whole BatchedTrace chunks per run()
+ * call, drains the prefetch queue and MSHR file with flush() at the end
+ * of a run, and exports the cache/DRAM/MSHR state back only when it is
+ * read.
  *
  * Prefetchers without a C train twin run as DRV_PF_PYTHON: the loop
  * calls the Python train(pc, address, cycle, result) bound method once
@@ -2378,7 +2380,7 @@ drv_mshr_complete(DriverKernel *d, long long cycle)
     d->mshr_min_ready = k ? mn : LLONG_MAX;
 }
 
-/* The demand miss chain shared by the fused and per-access loops
+/* The demand miss chain of Driver_run's per-access path
  * (everything below an L1 miss: L2 probe, LLC probe, DRAM access and
  * the refills).  Returns the demand latency; *served_by reports the
  * serving level (RES_L2 / RES_LLC / RES_DRAM) and *first_use whether an
@@ -2963,84 +2965,140 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
     const unsigned char *tr_kind = d->tr_kind;
     long long lat_l1 = d->lat_l1;
 
-    if (d->ptype == DRV_PF_NONE) {
-        /* Fused loop: no prefetcher, so the MSHR and PQ stay empty and
-         * every access is either a pure hit (run scan) or a fused
-         * demand miss. */
-        for (;;) {
-            if (unbounded) {
-                if (replays > 0)
+    /* One loop, the twin of _execute_batched: without a prefetcher and
+     * with the MSHR file and PQ empty, a resident block starts an L1-hit
+     * run retired whole; every other access drains the packed PQ, runs
+     * the inlined demand chain and trains the prefetcher in program
+     * order. */
+    int hit_runs = d->ptype == DRV_PF_NONE;
+    while (unbounded || executed < budget) {
+        if (unbounded && replays > 0)
+            break;
+        long long block = tr_block[index];
+        if (hit_runs && !d->mshr_n && !d->pq_n
+            && dc_contains(&d->l1, block)) {
+            /* Cache.demand_hit_run + CoreTimingModel.advance_hit_run:
+             * retire the pure-hit run starting here (it ends before the
+             * first miss or block with prefetch provenance to account,
+             * so it may be empty). */
+            long long remaining = unbounded ? -1 : budget - executed;
+            long long run = 0, instructions = 0;
+            Py_ssize_t i = index;
+            while (i < length) {
+                if (remaining >= 0 && instructions >= remaining)
                     break;
-            } else if (executed >= budget)
-                break;
-            long long block = tr_block[index];
-            DCRow r = dc_row(&d->l1, block);
-            int pos = dcrow_find(&r, block);
-            if (pos >= 0) {
-                /* Cache.demand_hit_run inlined. */
-                long long remaining = unbounded ? -1 : budget - executed;
-                long long run = 0, instructions = 0;
-                Py_ssize_t i = index;
-                while (i < length) {
-                    if (remaining >= 0 && instructions >= remaining)
-                        break;
-                    long long b = tr_block[i];
-                    DCRow rr = dc_row(&d->l1, b);
-                    int p = dcrow_find(&rr, b);
-                    if (p < 0)
-                        break;
-                    unsigned char f = rr.flg[p];
-                    if ((f & CB_PREFETCHED) && !(f & CB_COUNTED))
-                        break;
-                    dcrow_touch(&rr, p);
-                    if (tr_kind[i] == 1)
-                        rr.flg[rr.n - 1] |= CB_DIRTY;
-                    instructions += tr_gap[i] + 1;
-                    run++;
-                    i++;
+                long long b = tr_block[i];
+                DCRow rr = dc_row(&d->l1, b);
+                int p = dcrow_find(&rr, b);
+                if (p < 0)
+                    break;
+                unsigned char f = rr.flg[p];
+                if ((f & CB_PREFETCHED) && !(f & CB_COUNTED))
+                    break;
+                dcrow_touch(&rr, p);
+                if (tr_kind[i] == 1)
+                    rr.flg[rr.n - 1] |= CB_DIRTY;
+                instructions += tr_gap[i] + 1;
+                run++;
+                i++;
+            }
+            if (run) {
+                for (Py_ssize_t ri = index; ri < index + run; ri++) {
+                    drv_begin(d, tr_gap[ri]);
+                    drv_complete(d, lat_l1);
                 }
                 d->l1.hits += run;
-                if (run) {
-                    for (Py_ssize_t ri = index; ri < index + run; ri++) {
-                        drv_begin(d, tr_gap[ri]);
-                        drv_complete(d, lat_l1);
-                    }
-                    d->st_demand += run;
-                    d->st_l1_hits += run;
-                    d->st_latency += run * lat_l1;
-                    executed += instructions;
-                    index += run;
-                    yielded = 1;
-                    if (index >= length) {
-                        index = 0;
-                        replays++;
-                    }
-                    continue;
+                d->st_demand += run;
+                d->st_l1_hits += run;
+                d->st_latency += run * lat_l1;
+                executed += instructions;
+                index += run;
+                yielded = 1;
+                if (index >= length) {
+                    index = 0;
+                    replays++;
                 }
+                continue;
             }
-            /* Fused per-access demand path (the probe above is still
-             * valid: a zero-length run scan is side-effect free). */
-            long long gap = tr_gap[index];
-            int is_store = tr_kind[index] == 1;
-            index++;
-            if (index >= length) {
-                index = 0;
-                replays++;
+        }
+        long long gap = tr_gap[index];
+        int kind = tr_kind[index];
+        long long address = tr_addr[index];
+        long long pc = tr_pc[index];
+        index++;
+        if (index >= length) {
+            index = 0;
+            replays++;
+        }
+        yielded = 1;
+        drv_begin(d, gap);
+        long long issue_cycle = (long long)d->issue;
+        executed += gap + 1;
+        int is_store = kind == 1;
+
+        if (d->pq_n) {
+            /* Packed PQ drain (issue_queued_prefetches). */
+            int issued = 0;
+            while (d->pq_n && issued < d->pq_drain) {
+                long long p = d->pq[d->pq_head];
+                d->pq_head++;
+                if (d->pq_head >= d->pq_cap)
+                    d->pq_head = 0;
+                d->pq_n--;
+                issued++;
+                drv_issue_prefetch(d, p, issue_cycle);
             }
-            yielded = 1;
-            drv_begin(d, gap);
-            executed += gap + 1;
-            d->st_demand++;
-            long long latency;
-            if (pos >= 0) {
-                unsigned char f = r.flg[pos];
-                dcrow_touch(&r, pos);
+        }
+
+        /* Inlined demand_access. */
+        d->st_demand++;
+        long long latency;
+        int served_by = RES_L1, first_use = 0;
+        int infl = -1;
+        if (d->mshr_n) {
+            if (issue_cycle >= d->mshr_min_ready)
+                drv_mshr_complete(d, issue_cycle);
+            infl = drv_mshr_find(d, block);
+        }
+        if (infl >= 0) {
+            /* Late prefetch: the block is in flight. */
+            long long remaining = d->mshr_ready[infl] - issue_cycle;
+            latency = remaining > lat_l1 ? remaining : lat_l1;
+            unsigned char fl = CB_PREFETCHED | CB_USEFUL;
+            if (d->mshr_dram[infl])
+                fl |= CB_FROM_DRAM;
+            if (is_store)
+                fl |= CB_DIRTY;
+            /* dict pop: no _min_ready recompute. */
+            memmove(d->mshr_block + infl, d->mshr_block + infl + 1,
+                    sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
+            memmove(d->mshr_ready + infl, d->mshr_ready + infl + 1,
+                    sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
+            memmove(d->mshr_dram + infl, d->mshr_dram + infl + 1,
+                    sizeof(unsigned char)
+                        * (size_t)(d->mshr_n - 1 - infl));
+            d->mshr_n--;
+            drv_fill(d, &d->l1, block, fl, 1);
+            d->st_l1_hits++;
+            d->st_pf_useful_l1++;
+            d->st_pf_late++;
+            if (fl & CB_FROM_DRAM)
+                d->st_pf_covered++;
+            d->st_latency += latency;
+            served_by = RES_INFLIGHT;
+        } else {
+            DCRow r1 = dc_row(&d->l1, block);
+            int p1 = dcrow_find(&r1, block);
+            if (p1 >= 0) {
+                unsigned char f = r1.flg[p1];
+                dcrow_touch(&r1, p1);
                 d->l1.hits++;
                 if (f & CB_PREFETCHED) {
                     if (!(f & CB_USEFUL))
                         f |= CB_USEFUL;
                     if (!(f & CB_COUNTED)) {
                         f |= CB_COUNTED;
+                        first_use = 1;
                         d->st_pf_useful_l1++;
                         if (f & CB_FROM_DRAM)
                             d->st_pf_covered++;
@@ -3048,139 +3106,34 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                 }
                 if (is_store)
                     f |= CB_DIRTY;
-                r.flg[r.n - 1] = f;
+                r1.flg[r1.n - 1] = f;
                 d->st_l1_hits++;
                 d->st_latency += lat_l1;
                 latency = lat_l1;
             } else {
-                int served_by, first_use;
-                latency = drv_demand_miss(d, block, (long long)d->issue,
-                                          is_store, &served_by, &first_use);
+                latency = drv_demand_miss(d, block, issue_cycle,
+                                          is_store, &served_by,
+                                          &first_use);
             }
-            drv_complete(d, latency);
         }
-    } else {
-        /* Per-access loop: the prefetcher observes every demand load
-         * in program order (packed PQ drain + inlined demand chain +
-         * in-process train). */
-        while (unbounded || executed < budget) {
-            if (unbounded && replays > 0)
-                break;
-            long long gap = tr_gap[index];
-            int kind = tr_kind[index];
-            long long address = tr_addr[index];
-            long long block = tr_block[index];
-            long long pc = tr_pc[index];
-            index++;
-            if (index >= length) {
-                index = 0;
-                replays++;
-            }
-            yielded = 1;
-            drv_begin(d, gap);
-            long long issue_cycle = (long long)d->issue;
-            executed += gap + 1;
-            int is_store = kind == 1;
+        drv_complete(d, latency);
 
-            if (d->pq_n) {
-                /* Packed PQ drain (issue_queued_prefetches). */
-                int issued = 0;
-                while (d->pq_n && issued < d->pq_drain) {
-                    long long p = d->pq[d->pq_head];
-                    d->pq_head++;
-                    if (d->pq_head >= d->pq_cap)
-                        d->pq_head = 0;
-                    d->pq_n--;
-                    issued++;
-                    drv_issue_prefetch(d, p, issue_cycle);
-                }
-            }
-
-            /* Inlined demand_access. */
-            d->st_demand++;
-            long long latency;
-            int served_by = RES_L1, first_use = 0;
-            int infl = -1;
-            if (d->mshr_n) {
-                if (issue_cycle >= d->mshr_min_ready)
-                    drv_mshr_complete(d, issue_cycle);
-                infl = drv_mshr_find(d, block);
-            }
-            if (infl >= 0) {
-                /* Late prefetch: the block is in flight. */
-                long long remaining = d->mshr_ready[infl] - issue_cycle;
-                latency = remaining > lat_l1 ? remaining : lat_l1;
-                unsigned char fl = CB_PREFETCHED | CB_USEFUL;
-                if (d->mshr_dram[infl])
-                    fl |= CB_FROM_DRAM;
-                if (is_store)
-                    fl |= CB_DIRTY;
-                /* dict pop: no _min_ready recompute. */
-                memmove(d->mshr_block + infl, d->mshr_block + infl + 1,
-                        sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
-                memmove(d->mshr_ready + infl, d->mshr_ready + infl + 1,
-                        sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
-                memmove(d->mshr_dram + infl, d->mshr_dram + infl + 1,
-                        sizeof(unsigned char)
-                            * (size_t)(d->mshr_n - 1 - infl));
-                d->mshr_n--;
-                drv_fill(d, &d->l1, block, fl, 1);
-                d->st_l1_hits++;
-                d->st_pf_useful_l1++;
-                d->st_pf_late++;
-                if (fl & CB_FROM_DRAM)
-                    d->st_pf_covered++;
-                d->st_latency += latency;
-                served_by = RES_INFLIGHT;
+        if (kind == 0 && !d->cb_failed) {
+            if (d->ptype == DRV_PF_PYTHON) {
+                drv_py_train(d, pc, address, issue_cycle, latency,
+                             served_by, first_use);
             } else {
-                DCRow r1 = dc_row(&d->l1, block);
-                int p1 = dcrow_find(&r1, block);
-                if (p1 >= 0) {
-                    unsigned char f = r1.flg[p1];
-                    dcrow_touch(&r1, p1);
-                    d->l1.hits++;
-                    if (f & CB_PREFETCHED) {
-                        if (!(f & CB_USEFUL))
-                            f |= CB_USEFUL;
-                        if (!(f & CB_COUNTED)) {
-                            f |= CB_COUNTED;
-                            first_use = 1;
-                            d->st_pf_useful_l1++;
-                            if (f & CB_FROM_DRAM)
-                                d->st_pf_covered++;
-                        }
-                    }
-                    if (is_store)
-                        f |= CB_DIRTY;
-                    r1.flg[r1.n - 1] = f;
-                    d->st_l1_hits++;
-                    d->st_latency += lat_l1;
-                    latency = lat_l1;
-                } else {
-                    latency = drv_demand_miss(d, block, issue_cycle,
-                                              is_store, &served_by,
-                                              &first_use);
-                }
+                const long long *buf = NULL;
+                int l1_hit =
+                    served_by == RES_L1 || served_by == RES_INFLIGHT;
+                int cnt = drv_train(d, pc, address, issue_cycle,
+                                    latency, l1_hit, &buf);
+                if (cnt > 0)
+                    drv_enqueue(d, buf, cnt);
             }
-            drv_complete(d, latency);
-
-            if (kind == 0 && !d->cb_failed) {
-                if (d->ptype == DRV_PF_PYTHON) {
-                    drv_py_train(d, pc, address, issue_cycle, latency,
-                                 served_by, first_use);
-                } else {
-                    const long long *buf = NULL;
-                    int l1_hit =
-                        served_by == RES_L1 || served_by == RES_INFLIGHT;
-                    int cnt = drv_train(d, pc, address, issue_cycle,
-                                        latency, l1_hit, &buf);
-                    if (cnt > 0)
-                        drv_enqueue(d, buf, cnt);
-                }
-            }
-            if (d->cb_failed)
-                break;
         }
+        if (d->cb_failed)
+            break;
     }
     if (d->cb_failed) {
         /* A Python callback raised: its exception is already set. */

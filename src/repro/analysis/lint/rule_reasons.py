@@ -12,7 +12,8 @@ Statically: every ``return`` of a tuple whose first element is the
 literal ``None`` is a decline, and its *last* element is the reason
 slot.  The reason must not be ``None``, an empty string, or any other
 non-string literal; dynamic expressions (names, calls, f-strings) are
-trusted — their sources are themselves decline returns this rule checks.
+trusted — their sources are decline returns this rule checks, or the
+literal reasons of :func:`repro.sim.simulator.batched_decline_reason`.
 """
 
 from __future__ import annotations

@@ -203,9 +203,9 @@ def _case_key(generator: str, seed: int, prefetcher: str, length: int) -> str:
 #: Valid values of the ``kinds`` filter (``repro bench --kind …``).
 BENCH_KINDS = ("kernel", "mix", "stream")
 
-#: Prefetchers with a full compiled path (``none`` = the fused C driver
-#: loop; the four designs = per-access C driver + in-process C train
-#: kernels).  Kernel cases over these make up the ``compiled_tier``
+#: Prefetchers with a full compiled path (``none`` = the C driver loop
+#: retiring L1-hit runs; the four designs = the same loop + in-process C
+#: train kernels).  Kernel cases over these make up the ``compiled_tier``
 #: snapshot section.
 COMPILED_TIER_PREFETCHERS = ("none", "gaze", "pmp", "vberti", "triangel")
 

@@ -26,6 +26,8 @@ from typing import Deque, List, Tuple
 
 from repro.sim.config import CoreConfig
 
+_INF = float("inf")
+
 
 @dataclass(slots=True)
 class CoreSnapshot:
@@ -179,14 +181,12 @@ class CoreTimingModel:
         ``gaps[start]`` — the batched kernel's L1-hit runs — but in one
         tight loop with every constant and container bound to a local.
 
-        This is the *reference implementation* of the run-retirement
-        timing: the batched driver
+        The batched driver
         (:meth:`repro.sim.simulator.SingleCoreSimulator._execute_batched`)
-        inlines the identical loop so the model state can live in its own
-        local variables across runs, and the two copies are pinned against
-        each other by the batched-vs-scalar golden/equivalence suite plus
-        this method's direct unit test.  Any timing change must be applied
-        to both (they are line-for-line the same logic).
+        calls this for every L1-hit run it retires, writing its local core
+        state back to the model before the call and reloading it after;
+        the C driver's run retirement is pinned to it by the
+        batched-vs-scalar golden/equivalence suite.
 
         Bit-identicality contract: the float additions happen in the same
         order with the same operands as the scalar calls (``gap / width``
@@ -211,6 +211,10 @@ class CoreTimingModel:
         outstanding = self._outstanding
         popleft = outstanding.popleft
         append = outstanding.append
+        misses = self._outstanding_misses
+        # Cached minimum of ``misses`` (infinity when empty), kept exact on
+        # every change, so no per-access ``min()`` scan is needed.
+        misses_min = min(misses) if misses else _INF
         issue = fetch
         for index in range(start, start + count):
             gap = gaps[index]
@@ -241,17 +245,16 @@ class CoreTimingModel:
                 if issue > last_retire:
                     last_retire = issue
 
-            misses = self._outstanding_misses
             if len(misses) >= miss_limit:
                 misses.sort()
                 while len(misses) >= miss_limit:
                     completed = misses.pop(0)
                     if completed > issue:
                         issue = completed
-            if misses and min(misses) <= issue:
-                self._outstanding_misses = misses = [
-                    c for c in misses if c > issue
-                ]
+                misses_min = misses[0] if misses else _INF
+            if misses_min <= issue:
+                misses = [c for c in misses if c > issue]
+                misses_min = min(misses) if misses else _INF
 
             while outstanding and outstanding[0][1] <= issue:
                 completion = popleft()[1]
@@ -264,9 +267,12 @@ class CoreTimingModel:
             append((instr, completion))
             if records_miss:
                 misses.append(completion)
+                if completion < misses_min:
+                    misses_min = completion
             if issue > fetch:
                 fetch = issue
 
+        self._outstanding_misses = misses
         self._instr_count = instr
         self._fetch_cycle = fetch
         self._last_retire_cycle = last_retire

@@ -6,8 +6,8 @@ timing, prefetch-queue drain and prefetcher training — can run inside the
 extension's ``DriverKernel`` instead of
 :meth:`~repro.sim.simulator.SingleCoreSimulator._execute_batched`.  This
 module decides *whether* the C driver may engage for a given simulator
-(every shape/listener/quiescence condition the Python driver's fast paths
-rely on must hold), ships the live Python state into the kernel at attach
+(every geometry/listener/quiescence condition the C port relies on must
+hold), ships the live Python state into the kernel at attach
 time, keeps the Python-visible core/statistics state in sync after every
 batch call, and leaves the rest of the hierarchy in C until it is read.
 
@@ -20,7 +20,7 @@ the caller falls back to the Python driver.  Every prefetcher runs in C:
 =====================  ==============================================
 prefetcher             C driver path
 =====================  ==============================================
-``None``               fused demand loop (no PQ/train machinery)
+``None``               per-access loop retiring L1-hit runs whole
 vBerti (compiled)      per-access loop + ``BertiKernel`` train
 Gaze (compiled)        per-access loop + ``GazeKernel`` train/evict
 PMP (compiled)         per-access loop + ``PMPKernel`` train/evict
@@ -63,6 +63,7 @@ from typing import Optional, Tuple
 
 from repro.sim.cache import Cache, CacheBlock, MSHREntry
 from repro.sim.dram import DRAMModel
+from repro.sim.simulator import batched_decline_reason
 from repro.sim.types import AccessResult, PrefetchHint
 
 try:  # pragma: no cover - exercised only when the extension is built
@@ -166,22 +167,23 @@ class CompiledDriver:
     def try_attach(sim) -> Tuple[Optional["CompiledDriver"], Optional[str]]:
         """Build an attached driver for ``sim``, or ``(None, reason)``.
 
-        The checks mirror the preconditions of the Python driver's inline
-        fast paths (``inline_ok``/``fused``/``dram_plain``) plus the
-        quiescence the C state transfer requires; any mismatch falls back
-        to the Python driver, which handles every configuration.
+        The geometry check is the batched kernel's own
+        (:func:`~repro.sim.simulator.batched_decline_reason`); on top of it
+        the C port needs a plain DRAM model, the default eviction
+        listeners and the quiescence its state transfer requires.  Any
+        mismatch falls back to the Python driver, which handles every
+        configuration.
         """
         if not driver_available():
             return None, "repro._kernels extension (DriverKernel) not built"
         hierarchy = sim.hierarchy
+        reason = batched_decline_reason(hierarchy)
+        if reason is not None:
+            return None, reason
         l1d = hierarchy.l1d
         l2c = hierarchy.l2c
         llc = hierarchy.llc
         dram = hierarchy.dram
-        if type(l1d) is not Cache or type(l2c) is not Cache or type(llc) is not Cache:
-            return None, "non-plain cache object in hierarchy"
-        if l1d._set_mask is None or l2c._set_mask is None or llc._set_mask is None:
-            return None, "non-power-of-two cache set count"
         if type(dram) is not DRAMModel:
             return None, "non-plain DRAM model"
 

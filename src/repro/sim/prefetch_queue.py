@@ -66,11 +66,12 @@ class PrefetchQueue:
     def quiescent(self) -> bool:
         """True when no request is queued — nothing can issue this access.
 
-        This is the public spelling of the quiescence condition the
-        batched kernel's chunked fast path requires (a queued request
-        would have to issue mid-run).  The kernels themselves bind
-        :attr:`pending` once and test the deque's truthiness per access —
-        same condition, no property call on the hot path.
+        This is the public spelling of half the condition under which the
+        batched kernel retires a whole L1-hit run (a queued request would
+        have to issue mid-run; the MSHR file must be empty too).  The
+        kernels themselves bind :attr:`pending` once and test the deque's
+        truthiness per access — same condition, no property call on the
+        hot path.
         """
         return not self._queue
 

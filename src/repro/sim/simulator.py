@@ -15,20 +15,16 @@ dedicated indexing loop that avoids the per-access source-shape branching of
 :meth:`_TraceReplayer.next_access`.
 
 On top of the scalar kernel sits the **batched** kernel
-(:meth:`SingleCoreSimulator._execute_batched`): traces decoded into parallel
-arrays (:class:`~repro.sim.batch.BatchedTrace`) are driven in chunks — the
-run of consecutive pure L1 hits with a quiescent hierarchy (MSHR empty,
-prefetch queue empty, no prefetch provenance to account) is detected by
-:meth:`~repro.sim.cache.Cache.demand_hit_run` and retired with per-run
-arithmetic (the run-timing loop of
-:meth:`~repro.sim.cpu.CoreTimingModel.advance_hit_run`, inlined so the core
-state stays in driver locals, plus batched statistics updates), falling
-back to the scalar per-access path at
-the first access that misses or needs prefetch bookkeeping.  Prefetcher
-training order is preserved exactly: with a prefetcher attached, every
-demand access still runs through the per-access path (over the decoded
-arrays, with the hierarchy's L1-hit branch inlined), because ``train`` must
-observe every access in order.  Both kernels produce bit-identical
+(:meth:`SingleCoreSimulator._execute_batched`): one per-access loop over
+traces decoded into parallel arrays (:class:`~repro.sim.batch.BatchedTrace`),
+with the demand chain and the core timing inlined against locals.  Without
+a prefetcher, a quiescent hierarchy (MSHR file and prefetch queue empty)
+lets the loop retire whole runs of consecutive pure L1 hits at once
+(:meth:`~repro.sim.cache.Cache.demand_hit_run` plus
+:meth:`~repro.sim.cpu.CoreTimingModel.advance_hit_run`); with one, every
+demand access takes the per-access path, because ``train`` must observe
+every access in order.  The C driver (:mod:`repro.sim.driver`) runs the
+same loop in the optional extension.  Every kernel produces bit-identical
 statistics — the golden-stats suite pins this.
 """
 
@@ -40,7 +36,6 @@ from repro.sim.batch import BatchedTrace, ChunkedTraceStream, decode_trace
 from repro.sim.cache import Cache, CacheBlock, MSHREntry
 from repro.sim.config import SystemConfig, default_system_config
 from repro.sim.cpu import CoreTimingModel
-from repro.sim.dram import DRAMModel
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.stats import SimulationStats
 from repro.sim.types import (
@@ -83,6 +78,25 @@ def resolve_kernel(prefetcher, kernel: str):
         if twin is not None:
             return twin
     return prefetcher
+
+
+def batched_decline_reason(hierarchy: CacheHierarchy) -> Optional[str]:
+    """Why the array loops cannot drive ``hierarchy`` (``None`` if they can).
+
+    The batched kernel and the C driver both inline the demand chain as
+    mask-indexed set-dict operations, so every cache must be a plain
+    :class:`Cache` with a power-of-two set count (every configuration of
+    the paper).  Other hierarchies run the scalar kernel, and a
+    ``kernel="compiled"`` run records this reason for the fallback.
+    """
+    l1d = hierarchy.l1d
+    l2c = hierarchy.l2c
+    llc = hierarchy.llc
+    if type(l1d) is not Cache or type(l2c) is not Cache or type(llc) is not Cache:
+        return "non-plain cache object in hierarchy"
+    if l1d._set_mask is None or l2c._set_mask is None or llc._set_mask is None:
+        return "non-power-of-two cache set count"
+    return None
 
 
 def _count_instructions(accesses: Iterable[MemoryAccess]) -> int:
@@ -322,9 +336,8 @@ class SingleCoreSimulator:
             # (the historical behaviour).  Re-openable handles replay by
             # re-opening and stay O(1)-memory.
             trace = list(trace)
-        if batch != "off" and self.hierarchy.l1d._set_mask is not None:
-            # The batched kernel requires the mask-based set geometry (every
-            # configuration of the paper); odd set counts stay scalar.
+        geometry_reason = batched_decline_reason(self.hierarchy)
+        if batch != "off" and geometry_reason is None:
             decoded = decode_trace(trace)
             if decoded is None and batch == "on":
                 decoded = BatchedTrace.from_accesses(iter(trace))
@@ -337,12 +350,12 @@ class SingleCoreSimulator:
                 # keep the scalar path (they cannot replay).
                 trace = ChunkedTraceStream(trace)
         elif isinstance(trace, BatchedTrace):
-            # batch="off" (or a non-power-of-two L1): the scalar kernel runs
+            # batch="off" (or an unsupported geometry): the scalar kernel runs
             # over a materialized copy so a pre-decoded trace cannot
             # silently re-enter the batched kernel.
             trace = list(trace)
         replayer = _TraceReplayer(trace)
-        self._attach_driver(replayer)
+        self._attach_driver(replayer, geometry_reason)
         driver = self._driver
 
         try:
@@ -385,13 +398,17 @@ class SingleCoreSimulator:
         return self.stats
 
     # ------------------------------------------------------------------ #
-    def _attach_driver(self, replayer: _TraceReplayer) -> None:
+    def _attach_driver(
+        self, replayer: _TraceReplayer, geometry_reason: Optional[str]
+    ) -> None:
         """Engage the C batched driver when requested and supported.
 
         Sets ``kernel_tier_used``/``kernel_decline_reason`` either way, so
         a ``kernel="compiled"`` run that silently fell back to the Python
         driver is observable.  Only batched/chunked execution shapes
-        qualify: the scalar kernel has no C counterpart.
+        qualify: the scalar kernel has no C counterpart.  A run sent to the
+        scalar kernel by its geometry records ``geometry_reason`` (from
+        :func:`batched_decline_reason`), not the scalar path itself.
         """
         driver = None
         reason = None
@@ -401,7 +418,10 @@ class SingleCoreSimulator:
 
                 driver, reason = CompiledDriver.try_attach(self)
             else:
-                reason = "scalar execution path (batch=off or one-shot stream)"
+                reason = (
+                    geometry_reason
+                    or "scalar execution path (batch=off or one-shot stream)"
+                )
         self._driver = driver
         if driver is not None:
             self.kernel_tier_used = "compiled-driver"
@@ -566,51 +586,47 @@ class SingleCoreSimulator:
     def _execute_batched(
         self, replayer: _TraceReplayer, instruction_budget: Optional[int]
     ) -> None:
-        """The batched kernel: chunked L1-hit runs over decoded arrays.
+        """The batched kernel: one per-access loop over decoded arrays.
 
         Replay/budget semantics are identical to the scalar kernel's
         materialized fast path — a bounded run wraps the arrays
         indefinitely, an unbounded run stops after one pass, and the access
-        that exhausts the budget still executes in full.
+        that exhausts the budget still executes in full.  Statistics are
+        bit-identical to the scalar kernel's (the golden-stats suite pins
+        this).  :meth:`run` routes here only hierarchies
+        :func:`batched_decline_reason` accepts.
 
-        Two driver loops, both bit-identical to the scalar kernel (the
-        golden-stats suite pins this):
+        Each iteration does one of two things:
 
-        * **No prefetcher** (and a default-shaped hierarchy): the chunked
-          fast path.  While the hierarchy is quiescent (MSHR file empty,
-          prefetch queue empty), the longest run of plain L1 hits within
-          budget is detected and retired wholesale
-          (:meth:`Cache.demand_hit_run` for residency + batched LRU
-          touches; the timing is
-          :meth:`CoreTimingModel.advance_hit_run`'s loop inlined against
-          the local core state, pinned to the reference method by the
-          equivalence suite; per-run statistics arithmetic); the access
-          that breaks the run —
-          a miss, or a block with prefetch provenance to account — executes
-          through a fully fused per-access path (the entire
-          ``demand_access`` chain inlined as set-dict operations, with
-          victim recycling as in :meth:`Cache.fill_absent`).
-
-        * **Prefetcher attached**: every access takes the per-access path —
-          training order must be preserved exactly, so ``train`` observes
-          every demand load in order — but over the decoded arrays, with
-          the demand chain inlined the same way (eviction listeners are
-          invoked exactly as ``Cache.fill`` would) and the ``train`` result
-          delivered through per-level preallocated mutable
+        * **Retire an L1-hit run.**  With no prefetcher attached and the
+          hierarchy quiescent (MSHR file and prefetch queue empty), an
+          access whose block is resident in the L1D starts a run: the
+          longest run of plain L1 hits within budget is retired wholesale —
+          :meth:`Cache.demand_hit_run` for residency and batched LRU
+          touches, :meth:`CoreTimingModel.advance_hit_run` for the timing,
+          per-run arithmetic for the statistics.  A prefetcher must
+          ``train`` on every demand load in order, so it never gets runs.
+        * **Execute one access.**  A miss, a hit on a block with prefetch
+          provenance to account, or any access with a prefetcher: the
+          queued prefetches drain, the ``demand_access`` chain runs inlined
+          as set-dict operations (victim recycling as in
+          :meth:`Cache.fill_absent`, eviction listeners invoked exactly as
+          ``Cache.fill`` would, DRAM through
+          :meth:`~repro.sim.dram.DRAMModel.access`), and
+          ``train`` receives one of the per-level preallocated mutable
           :class:`AccessResult` objects (no prefetcher retains the result
           beyond the call).
 
-        In both loops the core timing model's scalar state lives in local
-        variables for the duration of the call — the inlined begin/complete
-        logic performs the identical float operations in the identical
-        order — and is written back to the model at every point where a
-        :class:`CoreTimingModel` method runs (run retirement, non-fusable
-        fallbacks) and at exit.
+        The core timing model's scalar state lives in local variables for
+        the duration of the call — the inlined begin/complete logic
+        performs the identical float operations in the identical order —
+        and is written back around each ``advance_hit_run`` call and at
+        exit.
 
         When the compiled driver is attached (``kernel="compiled"`` and
-        :meth:`_attach_driver` accepted the configuration), both loops run
-        inside the C extension instead — same replay/budget semantics,
-        same statistics, bit-identical.
+        :meth:`_attach_driver` accepted the configuration), the same loop
+        runs inside the C extension instead — same replay/budget
+        semantics, same statistics, bit-identical.
         """
         driver = self._driver
         if driver is not None:
@@ -629,14 +645,12 @@ class SingleCoreSimulator:
         core = self.core
         hierarchy = self.hierarchy
         prefetcher = self.prefetcher
-        issue_queued_prefetches = hierarchy.issue_queued_prefetches
-        demand_access = hierarchy.demand_access
-        enqueue_prefetches = hierarchy.enqueue_prefetches
         complete_ready = hierarchy._complete_ready_prefetches
         l1d = hierarchy.l1d
         l2c = hierarchy.l2c
         llc = hierarchy.llc
         demand_hit_run = l1d.demand_hit_run
+        advance_hit_run = core.advance_hit_run
         l1_sets = l1d._sets
         l1_mask = l1d._set_mask
         l1_ways = l1d._ways
@@ -645,46 +659,24 @@ class SingleCoreSimulator:
         l2_mask = l2c._set_mask
         l2_ways = l2c._ways
         l2_listeners = l2c.eviction_listeners
-        llc_plain = type(llc) is Cache
-        llc_sets = llc._sets if llc_plain else None
-        llc_mask = llc._set_mask if llc_plain else None
-        llc_ways = llc._ways if llc_plain else None
-        llc_listeners = llc.eviction_listeners if llc_plain else None
+        llc_sets = llc._sets
+        llc_mask = llc._set_mask
+        llc_ways = llc._ways
+        llc_listeners = llc.eviction_listeners
+        l1_mshr = hierarchy.l1_mshr
+        prefetch_queue = hierarchy.prefetch_queue
         # Stable containers, bound for C-level truthiness tests (neither is
         # ever rebound by its owner).
-        pending_prefetches = hierarchy.prefetch_queue.pending
-        mshr_entries = hierarchy.l1_mshr._entries
+        pending_prefetches = prefetch_queue.pending
+        mshr_entries = l1_mshr._entries
         stats = hierarchy.stats
         prefetch_stats = stats.prefetch
         l1_latency = hierarchy._lat_l1
         lat_l2 = hierarchy._lat_l2
         lat_llc = hierarchy._lat_llc
-        dram = hierarchy.dram
-        dram_access = dram.access
+        dram_access = hierarchy.dram.access
         train = prefetcher.train if prefetcher is not None else None
-
-        # DRAM timing state, bound once for the whole call so the per-miss
-        # arithmetic of :meth:`DRAMModel.access` can run inline (subclasses
-        # keep the method call).  ``reset`` — the only thing that rebinds
-        # these attributes — never runs mid-kernel.
-        dram_plain = type(dram) is DRAMModel
-        if dram_plain:
-            dram_channels = dram._channels
-            dram_banks = dram._banks_per_channel
-            dram_row_div = dram._row_divisor
-            dram_hit_lat = dram._row_hit_latency
-            dram_miss_lat = dram._row_miss_latency
-            dram_transfer = dram._transfer_cycles
-            dram_open_row = dram._open_row
-            dram_bank_busy = dram._bank_busy_until
-            dram_channel_busy = dram._channel_busy_until
-            dram_stats = dram.stats
-
-        # The full demand chain can only be inlined against plain
-        # power-of-two-set caches (every configuration of the paper).
-        inline_ok = (
-            l2_mask is not None and llc_plain and llc_mask is not None
-        )
+        hit_runs = train is None
 
         # Core timing state, held in locals for the whole call (see the
         # docstring); the inlined arithmetic replicates begin_memory_access
@@ -702,9 +694,8 @@ class SingleCoreSimulator:
         out_popleft = outstanding.popleft
         out_append = outstanding.append
         misses_list = core._outstanding_misses
-        # Cached minimum of ``misses_list`` (INF when empty): the original
-        # per-access ``min()`` scan is replaced by constant-time updates on
-        # append/filter — the comparison outcomes are identical.
+        # Cached minimum of ``misses_list`` (INF when empty), kept exact on
+        # every append/filter, so no per-access ``min()`` scan is needed.
         INF = float("inf")
         misses_min = min(misses_list) if misses_list else INF
         try:
@@ -715,1037 +706,486 @@ class SingleCoreSimulator:
         index = replayer._index
         yielded = False
 
-        default_listener = hierarchy._count_useless_eviction
-        fused = (
-            train is None
-            and inline_ok
-            and l1_listeners == [default_listener]
-            and l2_listeners == [default_listener]
-            and not llc_listeners
-        )
-
-        if fused:
-            # Constants of the inlined hit-run retirement (L1 hits have one
-            # fixed latency).
-            hit_completion_delta = l1_latency if l1_latency > 1 else 1
-            hit_records_miss = l1_latency > miss_threshold
-            while True:
-                if unbounded:
-                    if replayer.replays > 0:
-                        break
-                elif executed >= instruction_budget:
-                    break
-                block = blocks[index]
-                l1_set = l1_sets[block & l1_mask]
-                if not mshr_entries and not pending_prefetches:
-                    if block in l1_set:
-                        # Chunked fast path: retire the whole pure-hit run.
-                        remaining = (
-                            None if unbounded else instruction_budget - executed
-                        )
-                        run, instructions = demand_hit_run(
-                            blocks, kinds, gaps, index, length, remaining
-                        )
-                        if run:
-                            # Timing of the whole run, inlined against the
-                            # local core state (the same per-access float
-                            # operations CoreTimingModel.advance_hit_run
-                            # performs — no sync round-trip).
-                            for run_index in range(index, index + run):
-                                gap = gaps[run_index]
-                                if gap > 0:
-                                    instr += gap
-                                    fetch += gap / width
-                                instr += 1
-                                fetch += fetch_inc
-                                issue = fetch
-                                while (
-                                    outstanding
-                                    and instr - outstanding[0][0] >= rob
-                                ):
-                                    head = outstanding[0][1]
-                                    if head > issue:
-                                        issue = head
-                                    completion = out_popleft()[1]
-                                    if completion > last_retire:
-                                        last_retire = completion
-                                    if issue > last_retire:
-                                        last_retire = issue
-                                while len(outstanding) >= lq:
-                                    head = outstanding[0][1]
-                                    if head > issue:
-                                        issue = head
-                                    completion = out_popleft()[1]
-                                    if completion > last_retire:
-                                        last_retire = completion
-                                    if issue > last_retire:
-                                        last_retire = issue
-                                if len(misses_list) >= miss_limit:
-                                    misses_list.sort()
-                                    while len(misses_list) >= miss_limit:
-                                        completed = misses_list.pop(0)
-                                        if completed > issue:
-                                            issue = completed
-                                    misses_min = (
-                                        misses_list[0] if misses_list else INF
-                                    )
-                                if misses_list and misses_min <= issue:
-                                    misses_list = [
-                                        c for c in misses_list if c > issue
-                                    ]
-                                    misses_min = (
-                                        min(misses_list) if misses_list else INF
-                                    )
-                                while (
-                                    outstanding and outstanding[0][1] <= issue
-                                ):
-                                    completion = out_popleft()[1]
-                                    if completion > last_retire:
-                                        last_retire = completion
-                                    if issue > last_retire:
-                                        last_retire = issue
-                                completion = issue + hit_completion_delta
-                                out_append((instr, completion))
-                                if hit_records_miss:
-                                    misses_list.append(completion)
-                                    if completion < misses_min:
-                                        misses_min = completion
-                                if issue > fetch:
-                                    fetch = issue
-                            stats.demand_accesses += run
-                            stats.l1_hits += run
-                            stats.total_demand_latency += run * l1_latency
-                            executed += instructions
-                            index += run
-                            yielded = True
-                            if index >= length:
-                                index = 0
-                                replayer.replays += 1
-                            continue
-                    # Fused per-access demand path (inlined demand_access,
-                    # bit-identical bookkeeping, no intermediate objects).
-                    gap = gaps[index]
-                    is_store = kinds[index] == 1
-                    index += 1
+        result_l1 = AccessResult(l1_latency, "L1D", False, False)
+        result_l2 = AccessResult(lat_l2, "L2C", False, False)
+        result_llc = AccessResult(lat_llc, "LLC", False, False)
+        result_dram = AccessResult(0, "DRAM", False, False)
+        result_inflight = AccessResult(0, "L1D", False, False)
+        pq_popleft = pending_prefetches.popleft
+        pq_append = pending_prefetches.append
+        drain_limit = prefetch_queue.drain_per_access
+        pq_capacity = prefetch_queue.capacity
+        mshr_capacity = l1_mshr.capacity
+        lat_l2_source = hierarchy._lat_l2_source
+        lat_llc_source = hierarchy._lat_llc_source
+        hint_l1 = PrefetchHint.L1
+        hint_l2 = PrefetchHint.L2
+        # Packed prefetch queue.  Inside this loop queued prefetches are
+        # stored as packed ints — ``block << 1 | to_l1`` — and issued
+        # through :meth:`CacheHierarchy._issue_prefetch`'s body inlined
+        # below against the already-bound cache locals, so no
+        # :class:`PrefetchRequest` travels through the hot path.  The
+        # prefetcher's requests are packed at enqueue (the sim layer only
+        # ever reads ``address`` and ``hint``, and every non-L1 hint takes
+        # the L2 fill branch, so the single to-L1 bit is behaviourally
+        # lossless).  Leftover entries are converted back to ``(request,
+        # cycle)`` tuples at exit, preserving the PQ representation every
+        # other code path uses.
+        if pending_prefetches:
+            for _ in range(len(pending_prefetches)):
+                request, _enq_cycle = pq_popleft()
+                pq_append(
+                    (request.address >> 6) << 1
+                    | (1 if request.hint is hint_l1 else 0)
+                )
+        while unbounded or executed < instruction_budget:
+            if unbounded and replayer.replays > 0:
+                break
+            block = blocks[index]
+            if (
+                hit_runs
+                and not mshr_entries
+                and not pending_prefetches
+                and block in l1_sets[block & l1_mask]
+            ):
+                # Retire the whole pure-hit run (it ends before the first
+                # miss or block with prefetch provenance to account, so it
+                # may be empty).
+                run, instructions = demand_hit_run(
+                    blocks,
+                    kinds,
+                    gaps,
+                    index,
+                    length,
+                    None if unbounded else instruction_budget - executed,
+                )
+                if run:
+                    core._instr_count = instr
+                    core._fetch_cycle = fetch
+                    core._last_retire_cycle = last_retire
+                    core._outstanding_misses = misses_list
+                    advance_hit_run(gaps, index, run, l1_latency)
+                    instr = core._instr_count
+                    fetch = core._fetch_cycle
+                    last_retire = core._last_retire_cycle
+                    misses_list = core._outstanding_misses
+                    misses_min = min(misses_list) if misses_list else INF
+                    issue = core._issue_cycle
+                    stats.demand_accesses += run
+                    stats.l1_hits += run
+                    stats.total_demand_latency += run * l1_latency
+                    executed += instructions
+                    index += run
                     if index >= length:
                         index = 0
                         replayer.replays += 1
                     yielded = True
+                    continue
+            gap = gaps[index]
+            kind = kinds[index]
+            address = addresses[index]
+            pc = pcs[index]
+            index += 1
+            if index >= length:
+                index = 0
+                replayer.replays += 1
+            yielded = True
 
-                    # Inlined begin_memory_access.
-                    if gap > 0:
-                        instr += gap
-                        fetch += gap / width
-                    instr += 1
-                    fetch += fetch_inc
-                    issue = fetch
-                    while outstanding and instr - outstanding[0][0] >= rob:
-                        head = outstanding[0][1]
-                        if head > issue:
-                            issue = head
-                        completion = out_popleft()[1]
-                        if completion > last_retire:
-                            last_retire = completion
-                        if issue > last_retire:
-                            last_retire = issue
-                    while len(outstanding) >= lq:
-                        head = outstanding[0][1]
-                        if head > issue:
-                            issue = head
-                        completion = out_popleft()[1]
-                        if completion > last_retire:
-                            last_retire = completion
-                        if issue > last_retire:
-                            last_retire = issue
-                    if len(misses_list) >= miss_limit:
-                        misses_list.sort()
-                        while len(misses_list) >= miss_limit:
-                            completed = misses_list.pop(0)
-                            if completed > issue:
-                                issue = completed
-                        misses_min = misses_list[0] if misses_list else INF
-                    if misses_list and misses_min <= issue:
-                        misses_list = [c for c in misses_list if c > issue]
-                        misses_min = min(misses_list) if misses_list else INF
-                    while outstanding and outstanding[0][1] <= issue:
-                        completion = out_popleft()[1]
-                        if completion > last_retire:
-                            last_retire = completion
-                        if issue > last_retire:
-                            last_retire = issue
-                    executed += gap + 1
-                    stats.demand_accesses += 1
+            # Inlined begin_memory_access.
+            if gap > 0:
+                instr += gap
+                fetch += gap / width
+            instr += 1
+            fetch += fetch_inc
+            issue = fetch
+            while outstanding and instr - outstanding[0][0] >= rob:
+                head = outstanding[0][1]
+                if head > issue:
+                    issue = head
+                completion = out_popleft()[1]
+                if completion > last_retire:
+                    last_retire = completion
+                if issue > last_retire:
+                    last_retire = issue
+            while len(outstanding) >= lq:
+                head = outstanding[0][1]
+                if head > issue:
+                    issue = head
+                completion = out_popleft()[1]
+                if completion > last_retire:
+                    last_retire = completion
+                if issue > last_retire:
+                    last_retire = issue
+            if len(misses_list) >= miss_limit:
+                misses_list.sort()
+                while len(misses_list) >= miss_limit:
+                    completed = misses_list.pop(0)
+                    if completed > issue:
+                        issue = completed
+                misses_min = misses_list[0] if misses_list else INF
+            if misses_list and misses_min <= issue:
+                misses_list = [c for c in misses_list if c > issue]
+                misses_min = min(misses_list) if misses_list else INF
+            while outstanding and outstanding[0][1] <= issue:
+                completion = out_popleft()[1]
+                if completion > last_retire:
+                    last_retire = completion
+                if issue > last_retire:
+                    last_retire = issue
+            issue_cycle = int(issue)
+            executed += gap + 1
 
-                    entry = l1_set.get(block)
+            if pending_prefetches:
+                # Packed drain: issue_queued_prefetches with _issue_prefetch
+                # inlined over packed ints (same FIFO order, per-access
+                # drain limit, branch structure and statistics).
+                issued = 0
+                while pending_prefetches and issued < drain_limit:
+                    p = pq_popleft()
+                    issued += 1
+                    pblock = p >> 1
+                    p_l1_set = l1_sets[pblock & l1_mask]
+                    if pblock in p_l1_set or pblock in mshr_entries:
+                        prefetch_stats.redundant += 1
+                        continue
+                    p_l2_set = l2_sets[pblock & l2_mask]
+                    l2_entry = p_l2_set.get(pblock)
+                    to_l1 = p & 1
+                    if not to_l1 and l2_entry is not None:
+                        prefetch_stats.redundant += 1
+                        continue
+                    prefetch_stats.issued += 1
+
+                    # Locate the data (LRU-touching as lookup does).
+                    from_dram = False
+                    if l2_entry is not None:
+                        source_latency = lat_l2_source
+                        del p_l2_set[pblock]
+                        p_l2_set[pblock] = l2_entry
+                    else:
+                        p_llc_set = llc_sets[pblock & llc_mask]
+                        llc_entry = p_llc_set.get(pblock)
+                        if llc_entry is not None:
+                            del p_llc_set[pblock]
+                            p_llc_set[pblock] = llc_entry
+                            source_latency = lat_llc_source
+                        else:
+                            source_latency = lat_llc_source + dram_access(
+                                pblock, issue_cycle, True
+                            )
+                            from_dram = True
+                            # Inlined LLC fill (block just missed).
+                            if len(p_llc_set) >= llc_ways:
+                                victim = p_llc_set.pop(next(iter(p_llc_set)))
+                                llc.evictions += 1
+                                if victim.prefetched and not victim.prefetch_useful:
+                                    llc.useless_prefetch_evictions += 1
+                                for listener in llc_listeners:
+                                    listener(victim)
+                                victim.block = pblock
+                                victim.prefetched = False
+                                victim.prefetch_useful = False
+                                victim.from_dram = True
+                                victim.dirty = False
+                                victim.useful_counted = False
+                                p_llc_set[pblock] = victim
+                            else:
+                                p_llc_set[pblock] = CacheBlock(
+                                    pblock, False, False, True
+                                )
+
+                    if to_l1:
+                        # Inlined has_free_entry: expire(cycle) with the
+                        # results discarded (the method's exact behaviour),
+                        # then the capacity check.
+                        if mshr_entries and issue_cycle >= l1_mshr._min_ready:
+                            done = [
+                                e
+                                for e in mshr_entries.values()
+                                if e.ready_cycle <= issue_cycle
+                            ]
+                            for mshr_entry in done:
+                                del mshr_entries[mshr_entry.block]
+                            if mshr_entries:
+                                l1_mshr._min_ready = min(
+                                    e.ready_cycle for e in mshr_entries.values()
+                                )
+                            else:
+                                l1_mshr._min_ready = INF
+                        if len(mshr_entries) < mshr_capacity:
+                            # Allocate (block proven absent; expiry only
+                            # removes entries, so it still is).
+                            ready = issue_cycle + source_latency
+                            mshr_entries[pblock] = MSHREntry(
+                                pblock, ready, True, 1, from_dram
+                            )
+                            if ready < l1_mshr._min_ready:
+                                l1_mshr._min_ready = ready
+                            prefetch_stats.filled_l1 += 1
+                            continue
+                        # MSHR file full: fall back to an L2 fill.
+                        prefetch_stats.dropped_mshr_full += 1
+                    if pblock not in p_l2_set:
+                        # Inlined L2 fill_absent with listeners.
+                        if len(p_l2_set) >= l2_ways:
+                            victim = p_l2_set.pop(next(iter(p_l2_set)))
+                            l2c.evictions += 1
+                            if victim.prefetched and not victim.prefetch_useful:
+                                l2c.useless_prefetch_evictions += 1
+                            for listener in l2_listeners:
+                                listener(victim)
+                            victim.block = pblock
+                            victim.prefetched = True
+                            victim.prefetch_useful = False
+                            victim.from_dram = from_dram
+                            victim.dirty = False
+                            victim.useful_counted = False
+                            p_l2_set[pblock] = victim
+                        else:
+                            p_l2_set[pblock] = CacheBlock(
+                                pblock, True, False, from_dram
+                            )
+                        prefetch_stats.filled_l2 += 1
+                    elif not to_l1:
+                        prefetch_stats.redundant += 1
+
+            # Inlined demand_access (bit-identical bookkeeping; the
+            # eviction listeners run exactly as Cache.fill would invoke
+            # them).
+            is_store = kind == 1
+            stats.demand_accesses += 1
+            if mshr_entries:
+                # expire()'s nothing-ready fast path, hoisted: skip the
+                # call chain entirely until a fill can be due.
+                if issue_cycle >= l1_mshr._min_ready:
+                    complete_ready(issue_cycle)
+                inflight = mshr_entries.get(block)
+            else:
+                inflight = None
+            l1_set = l1_sets[block & l1_mask]
+            if inflight is not None:
+                remaining = inflight.ready_cycle - issue_cycle
+                latency = remaining if remaining > l1_latency else l1_latency
+                del mshr_entries[block]
+                is_pf = inflight.is_prefetch
+                inflight_dram = inflight.from_dram
+                if len(l1_set) >= l1_ways:
+                    victim = l1_set.pop(next(iter(l1_set)))
+                    l1d.evictions += 1
+                    if victim.prefetched and not victim.prefetch_useful:
+                        l1d.useless_prefetch_evictions += 1
+                    for listener in l1_listeners:
+                        listener(victim)
+                    victim.block = block
+                    victim.prefetched = is_pf
+                    victim.prefetch_useful = False
+                    victim.from_dram = inflight_dram
+                    victim.dirty = is_store
+                    victim.useful_counted = False
+                    l1_set[block] = victim
+                    entry = victim
+                else:
+                    entry = CacheBlock(block, is_pf, False, inflight_dram, is_store)
+                    l1_set[block] = entry
+                stats.l1_hits += 1
+                if is_pf:
+                    entry.prefetch_useful = True
+                    prefetch_stats.useful_l1 += 1
+                    prefetch_stats.late += 1
+                    if inflight_dram:
+                        prefetch_stats.covered_llc_misses += 1
+                stats.total_demand_latency += latency
+                result = result_inflight
+                result.latency = latency
+                result.served_by_prefetch = is_pf
+                result.late_prefetch = is_pf
+            else:
+                entry = l1_set.get(block)
+                if entry is not None:
+                    del l1_set[block]
+                    l1_set[block] = entry
+                    l1d.hits += 1
+                    served = False
+                    if entry.prefetched:
+                        if not entry.prefetch_useful:
+                            entry.prefetch_useful = True
+                        if not entry.useful_counted:
+                            entry.useful_counted = True
+                            served = True
+                            prefetch_stats.useful_l1 += 1
+                            if entry.from_dram:
+                                prefetch_stats.covered_llc_misses += 1
+                    if is_store:
+                        entry.dirty = True
+                    stats.l1_hits += 1
+                    stats.total_demand_latency += l1_latency
+                    latency = l1_latency
+                    result = result_l1
+                    result.served_by_prefetch = served
+                else:
+                    l1d.misses += 1
+                    stats.l1_misses += 1
+
+                    l2_set = l2_sets[block & l2_mask]
+                    entry = l2_set.get(block)
                     if entry is not None:
-                        # L1 hit that the run scan refused (prefetch
-                        # provenance to account).
-                        del l1_set[block]
-                        l1_set[block] = entry
-                        l1d.hits += 1
+                        del l2_set[block]
+                        l2_set[block] = entry
+                        l2c.hits += 1
+                        served = False
                         if entry.prefetched:
                             if not entry.prefetch_useful:
                                 entry.prefetch_useful = True
                             if not entry.useful_counted:
                                 entry.useful_counted = True
-                                prefetch_stats.useful_l1 += 1
+                                served = True
+                                prefetch_stats.useful_l2 += 1
                                 if entry.from_dram:
                                     prefetch_stats.covered_llc_misses += 1
-                        if is_store:
-                            entry.dirty = True
-                        stats.l1_hits += 1
-                        stats.total_demand_latency += l1_latency
-                        latency = l1_latency
+                        from_dram = False
+                        latency = lat_l2
+                        stats.l2_hits += 1
+                        result = result_l2
+                        result.served_by_prefetch = served
                     else:
-                        l1d.misses += 1
-                        stats.l1_misses += 1
+                        l2c.misses += 1
+                        stats.l2_misses += 1
 
-                        l2_set = l2_sets[block & l2_mask]
-                        entry = l2_set.get(block)
+                        llc_set = llc_sets[block & llc_mask]
+                        entry = llc_set.get(block)
                         if entry is not None:
-                            del l2_set[block]
-                            l2_set[block] = entry
-                            l2c.hits += 1
-                            if entry.prefetched:
-                                if not entry.prefetch_useful:
-                                    entry.prefetch_useful = True
-                                if not entry.useful_counted:
-                                    entry.useful_counted = True
-                                    prefetch_stats.useful_l2 += 1
-                                    if entry.from_dram:
-                                        prefetch_stats.covered_llc_misses += 1
-                            # Inlined L1 fill (block is guaranteed absent);
-                            # the victim object is recycled — nothing else
-                            # can hold a reference to it here.
-                            if len(l1_set) >= l1_ways:
-                                victim = l1_set.pop(next(iter(l1_set)))
-                                l1d.evictions += 1
-                                if victim.prefetched and not victim.prefetch_useful:
-                                    l1d.useless_prefetch_evictions += 1
-                                    prefetch_stats.useless += 1
-                                victim.block = block
-                                victim.prefetched = False
-                                victim.prefetch_useful = False
-                                victim.from_dram = False
-                                victim.dirty = is_store
-                                victim.useful_counted = False
-                                l1_set[block] = victim
-                            else:
-                                l1_set[block] = CacheBlock(
-                                    block, False, False, False, is_store
-                                )
-                            stats.l2_hits += 1
-                            stats.total_demand_latency += lat_l2
-                            latency = lat_l2
+                            del llc_set[block]
+                            llc_set[block] = entry
+                            llc.hits += 1
+                            if entry.prefetched and not entry.prefetch_useful:
+                                entry.prefetch_useful = True
+                            from_dram = False
+                            latency = lat_llc
+                            stats.llc_hits += 1
+                            result = result_llc
                         else:
-                            l2c.misses += 1
-                            stats.l2_misses += 1
-
-                            llc_set = llc_sets[block & llc_mask]
-                            entry = llc_set.get(block)
-                            if entry is not None:
-                                del llc_set[block]
-                                llc_set[block] = entry
-                                llc.hits += 1
-                                if entry.prefetched and not entry.prefetch_useful:
-                                    entry.prefetch_useful = True
-                                from_dram = False
-                                latency = lat_llc
-                                stats.llc_hits += 1
-                            else:
-                                llc.misses += 1
-                                stats.llc_misses += 1
-                                if dram_plain:
-                                    # Inlined DRAMModel.access (demand).
-                                    cyc = int(issue)
-                                    channel = block % dram_channels
-                                    bank = (
-                                        channel * dram_banks
-                                        + (block // dram_channels) % dram_banks
-                                    )
-                                    row = block // dram_row_div
-                                    if dram_open_row.get(bank) == row:
-                                        array_latency = dram_hit_lat
-                                        dram_stats.row_hits += 1
-                                    else:
-                                        array_latency = dram_miss_lat
-                                        dram_stats.row_misses += 1
-                                        dram_open_row[bank] = row
-                                    bank_wait = (
-                                        dram_bank_busy.get(bank, 0.0) - cyc
-                                    )
-                                    if bank_wait < 0.0:
-                                        bank_wait = 0.0
-                                    array_done = cyc + bank_wait + array_latency
-                                    dram_bank_busy[bank] = array_done
-                                    bus_start = dram_channel_busy[channel]
-                                    if array_done > bus_start:
-                                        bus_start = array_done
-                                    bus_done = bus_start + dram_transfer
-                                    dram_channel_busy[channel] = bus_done
-                                    bus_wait = bus_start - array_done
-                                    dram_stats.requests += 1
-                                    dram_stats.demand_requests += 1
-                                    dram_stats.total_queue_wait += int(
-                                        bank_wait
-                                        + (bus_wait if bus_wait > 0.0 else 0.0)
-                                    )
-                                    dram_stats.total_service_cycles += int(
-                                        array_latency + dram_transfer
-                                    )
-                                    latency = lat_llc + int(
-                                        round(bus_done - cyc)
-                                    )
-                                else:
-                                    latency = lat_llc + dram_access(
-                                        block, int(issue), False
-                                    )
-                                stats.dram_reads += 1
-                                from_dram = True
-                                # Inlined LLC fill (no listeners here).
-                                if len(llc_set) >= llc_ways:
-                                    victim = llc_set.pop(next(iter(llc_set)))
-                                    llc.evictions += 1
-                                    if victim.prefetched and not victim.prefetch_useful:
-                                        llc.useless_prefetch_evictions += 1
-                                    victim.block = block
-                                    victim.prefetched = False
-                                    victim.prefetch_useful = False
-                                    victim.from_dram = True
-                                    victim.dirty = False
-                                    victim.useful_counted = False
-                                    llc_set[block] = victim
-                                else:
-                                    llc_set[block] = CacheBlock(
-                                        block, False, False, True
-                                    )
-
-                            # Inlined L2 + L1 fills (block absent from both).
-                            if len(l2_set) >= l2_ways:
-                                victim = l2_set.pop(next(iter(l2_set)))
-                                l2c.evictions += 1
+                            llc.misses += 1
+                            stats.llc_misses += 1
+                            latency = lat_llc + dram_access(
+                                block, issue_cycle, False
+                            )
+                            stats.dram_reads += 1
+                            from_dram = True
+                            # Inlined LLC fill (absent).
+                            if len(llc_set) >= llc_ways:
+                                victim = llc_set.pop(next(iter(llc_set)))
+                                llc.evictions += 1
                                 if victim.prefetched and not victim.prefetch_useful:
-                                    l2c.useless_prefetch_evictions += 1
-                                    prefetch_stats.useless += 1
+                                    llc.useless_prefetch_evictions += 1
+                                for listener in llc_listeners:
+                                    listener(victim)
                                 victim.block = block
                                 victim.prefetched = False
                                 victim.prefetch_useful = False
-                                victim.from_dram = from_dram
+                                victim.from_dram = True
                                 victim.dirty = False
                                 victim.useful_counted = False
-                                l2_set[block] = victim
+                                llc_set[block] = victim
                             else:
-                                l2_set[block] = CacheBlock(
-                                    block, False, False, from_dram
+                                llc_set[block] = CacheBlock(
+                                    block, False, False, True
                                 )
-                            if len(l1_set) >= l1_ways:
-                                victim = l1_set.pop(next(iter(l1_set)))
-                                l1d.evictions += 1
-                                if victim.prefetched and not victim.prefetch_useful:
-                                    l1d.useless_prefetch_evictions += 1
-                                    prefetch_stats.useless += 1
-                                victim.block = block
-                                victim.prefetched = False
-                                victim.prefetch_useful = False
-                                victim.from_dram = from_dram
-                                victim.dirty = is_store
-                                victim.useful_counted = False
-                                l1_set[block] = victim
-                            else:
-                                l1_set[block] = CacheBlock(
-                                    block, False, False, from_dram, is_store
-                                )
-                            stats.total_demand_latency += latency
+                            result = result_dram
+                            result.latency = latency
 
-                    # Inlined complete_memory_access.
-                    completion = issue + (latency if latency > 1 else 1)
-                    out_append((instr, completion))
-                    if latency > miss_threshold:
-                        misses_list.append(completion)
-                        if completion < misses_min:
-                            misses_min = completion
-                    if issue > fetch:
-                        fetch = issue
-                    continue
-                # Non-quiescent hierarchy (in-flight or queued prefetches,
-                # impossible without a prefetcher but kept for safety):
-                # generic scalar access through the model's methods.
-                core._instr_count = instr
-                core._fetch_cycle = fetch
-                core._last_retire_cycle = last_retire
-                core._outstanding_misses = misses_list
-                gap = gaps[index]
-                kind = kinds[index]
-                address = addresses[index]
-                index += 1
-                if index >= length:
-                    index = 0
-                    replayer.replays += 1
-                yielded = True
-                if gap > 0:
-                    core.advance_non_memory(gap)
-                issue_cycle = core.begin_memory_access()
-                executed += gap + 1
-                if pending_prefetches:
-                    issue_queued_prefetches(issue_cycle)
-                result = demand_access(address, issue_cycle, kind == 1)
-                core.complete_memory_access(result.latency)
-                instr = core._instr_count
-                fetch = core._fetch_cycle
-                last_retire = core._last_retire_cycle
-                misses_list = core._outstanding_misses
-                misses_min = min(misses_list) if misses_list else INF
-                issue = core._issue_cycle
-        else:
-            # Per-access loop: the prefetcher observes every demand load in
-            # program order (and the same loop serves prefetcher-less runs
-            # on non-default hierarchies, where ``fused`` is False).
-            result_l1 = AccessResult(l1_latency, "L1D", False, False)
-            result_l2 = AccessResult(lat_l2, "L2C", False, False)
-            result_llc = AccessResult(lat_llc, "LLC", False, False)
-            result_dram = AccessResult(0, "DRAM", False, False)
-            result_inflight = AccessResult(0, "L1D", False, False)
-            l1_mshr = hierarchy.l1_mshr
-            issue_one = hierarchy._issue_prefetch
-            pq_popleft = pending_prefetches.popleft
-            pq_append = pending_prefetches.append
-            prefetch_queue = hierarchy.prefetch_queue
-            drain_limit = prefetch_queue.drain_per_access
-            pq_capacity = prefetch_queue.capacity
-            mshr_capacity = l1_mshr.capacity
-            lat_l2_source = hierarchy._lat_l2_source
-            lat_llc_source = hierarchy._lat_llc_source
-            hint_l1 = PrefetchHint.L1
-            hint_l2 = PrefetchHint.L2
-            # Packed-protocol prefetch path.  With the demand chain inlined
-            # (``inline_ok``) and a prefetcher attached, queued prefetches
-            # are stored as packed ints — ``block << 1 | to_l1`` — and
-            # issued through :meth:`CacheHierarchy._issue_prefetch`'s body
-            # inlined below against the already-bound cache locals, so no
-            # :class:`PrefetchRequest` travels through the hot path.  The
-            # prefetcher's requests are packed at enqueue (the sim layer
-            # only ever reads ``address`` and ``hint``, and every non-L1
-            # hint takes the L2 fill branch, so the single to-L1 bit is
-            # behaviourally lossless).  Leftover entries are converted back
-            # to ``(request, cycle)`` tuples at exit, preserving the PQ
-            # representation every other code path uses.
-            use_packed = inline_ok and train is not None
-            if use_packed and pending_prefetches:
-                for _ in range(len(pending_prefetches)):
-                    request, _enq_cycle = pq_popleft()
-                    pq_append(
-                        (request.address >> 6) << 1
-                        | (1 if request.hint is hint_l1 else 0)
-                    )
-            while unbounded or executed < instruction_budget:
-                if unbounded and replayer.replays > 0:
-                    break
-                gap = gaps[index]
-                kind = kinds[index]
-                address = addresses[index]
-                block = blocks[index]
-                pc = pcs[index]
-                index += 1
-                if index >= length:
-                    index = 0
-                    replayer.replays += 1
-                yielded = True
-
-                # Inlined begin_memory_access.
-                if gap > 0:
-                    instr += gap
-                    fetch += gap / width
-                instr += 1
-                fetch += fetch_inc
-                issue = fetch
-                while outstanding and instr - outstanding[0][0] >= rob:
-                    head = outstanding[0][1]
-                    if head > issue:
-                        issue = head
-                    completion = out_popleft()[1]
-                    if completion > last_retire:
-                        last_retire = completion
-                    if issue > last_retire:
-                        last_retire = issue
-                while len(outstanding) >= lq:
-                    head = outstanding[0][1]
-                    if head > issue:
-                        issue = head
-                    completion = out_popleft()[1]
-                    if completion > last_retire:
-                        last_retire = completion
-                    if issue > last_retire:
-                        last_retire = issue
-                if len(misses_list) >= miss_limit:
-                    misses_list.sort()
-                    while len(misses_list) >= miss_limit:
-                        completed = misses_list.pop(0)
-                        if completed > issue:
-                            issue = completed
-                    misses_min = misses_list[0] if misses_list else INF
-                if misses_list and misses_min <= issue:
-                    misses_list = [c for c in misses_list if c > issue]
-                    misses_min = min(misses_list) if misses_list else INF
-                while outstanding and outstanding[0][1] <= issue:
-                    completion = out_popleft()[1]
-                    if completion > last_retire:
-                        last_retire = completion
-                    if issue > last_retire:
-                        last_retire = issue
-                issue_cycle = int(issue)
-                executed += gap + 1
-
-                if pending_prefetches:
-                    if not use_packed:
-                        # Inlined issue_queued_prefetches (same FIFO order
-                        # and per-access drain limit).
-                        issued = 0
-                        while pending_prefetches and issued < drain_limit:
-                            issue_one(pq_popleft()[0], issue_cycle)
-                            issued += 1
-                    else:
-                        # Packed drain: _issue_prefetch inlined over packed
-                        # ints (identical branch structure and statistics).
-                        issued = 0
-                        while pending_prefetches and issued < drain_limit:
-                            p = pq_popleft()
-                            issued += 1
-                            pblock = p >> 1
-                            p_l1_set = l1_sets[pblock & l1_mask]
-                            if pblock in p_l1_set or pblock in mshr_entries:
-                                prefetch_stats.redundant += 1
-                                continue
-                            p_l2_set = l2_sets[pblock & l2_mask]
-                            l2_entry = p_l2_set.get(pblock)
-                            to_l1 = p & 1
-                            if not to_l1 and l2_entry is not None:
-                                prefetch_stats.redundant += 1
-                                continue
-                            prefetch_stats.issued += 1
-
-                            # Locate the data (LRU-touching as lookup does).
-                            from_dram = False
-                            if l2_entry is not None:
-                                source_latency = lat_l2_source
-                                del p_l2_set[pblock]
-                                p_l2_set[pblock] = l2_entry
-                            else:
-                                p_llc_set = llc_sets[pblock & llc_mask]
-                                llc_entry = p_llc_set.get(pblock)
-                                if llc_entry is not None:
-                                    del p_llc_set[pblock]
-                                    p_llc_set[pblock] = llc_entry
-                                    source_latency = lat_llc_source
-                                else:
-                                    if dram_plain:
-                                        # Inlined DRAMModel.access (prefetch).
-                                        channel = pblock % dram_channels
-                                        bank = (
-                                            channel * dram_banks
-                                            + (pblock // dram_channels)
-                                            % dram_banks
-                                        )
-                                        row = pblock // dram_row_div
-                                        if dram_open_row.get(bank) == row:
-                                            array_latency = dram_hit_lat
-                                            dram_stats.row_hits += 1
-                                        else:
-                                            array_latency = dram_miss_lat
-                                            dram_stats.row_misses += 1
-                                            dram_open_row[bank] = row
-                                        bank_wait = (
-                                            dram_bank_busy.get(bank, 0.0)
-                                            - issue_cycle
-                                        )
-                                        if bank_wait < 0.0:
-                                            bank_wait = 0.0
-                                        array_done = (
-                                            issue_cycle
-                                            + bank_wait
-                                            + array_latency
-                                        )
-                                        dram_bank_busy[bank] = array_done
-                                        bus_start = dram_channel_busy[channel]
-                                        if array_done > bus_start:
-                                            bus_start = array_done
-                                        bus_done = bus_start + dram_transfer
-                                        dram_channel_busy[channel] = bus_done
-                                        bus_wait = bus_start - array_done
-                                        dram_stats.requests += 1
-                                        dram_stats.prefetch_requests += 1
-                                        dram_stats.total_queue_wait += int(
-                                            bank_wait
-                                            + (
-                                                bus_wait
-                                                if bus_wait > 0.0
-                                                else 0.0
-                                            )
-                                        )
-                                        dram_stats.total_service_cycles += int(
-                                            array_latency + dram_transfer
-                                        )
-                                        source_latency = lat_llc_source + int(
-                                            round(bus_done - issue_cycle)
-                                        )
-                                    else:
-                                        source_latency = (
-                                            lat_llc_source
-                                            + dram_access(
-                                                pblock, issue_cycle, True
-                                            )
-                                        )
-                                    from_dram = True
-                                    # Inlined LLC fill (block just missed).
-                                    if len(p_llc_set) >= llc_ways:
-                                        victim = p_llc_set.pop(
-                                            next(iter(p_llc_set))
-                                        )
-                                        llc.evictions += 1
-                                        if (
-                                            victim.prefetched
-                                            and not victim.prefetch_useful
-                                        ):
-                                            llc.useless_prefetch_evictions += 1
-                                        for listener in llc_listeners:
-                                            listener(victim)
-                                        victim.block = pblock
-                                        victim.prefetched = False
-                                        victim.prefetch_useful = False
-                                        victim.from_dram = True
-                                        victim.dirty = False
-                                        victim.useful_counted = False
-                                        p_llc_set[pblock] = victim
-                                    else:
-                                        p_llc_set[pblock] = CacheBlock(
-                                            pblock, False, False, True
-                                        )
-
-                            if to_l1:
-                                # Inlined has_free_entry: expire(cycle) with
-                                # the results discarded (the method's exact
-                                # behaviour), then the capacity check.
-                                if (
-                                    mshr_entries
-                                    and issue_cycle >= l1_mshr._min_ready
-                                ):
-                                    done = [
-                                        e
-                                        for e in mshr_entries.values()
-                                        if e.ready_cycle <= issue_cycle
-                                    ]
-                                    for mshr_entry in done:
-                                        del mshr_entries[mshr_entry.block]
-                                    if mshr_entries:
-                                        l1_mshr._min_ready = min(
-                                            e.ready_cycle
-                                            for e in mshr_entries.values()
-                                        )
-                                    else:
-                                        l1_mshr._min_ready = INF
-                                if len(mshr_entries) >= mshr_capacity:
-                                    prefetch_stats.dropped_mshr_full += 1
-                                    if pblock not in p_l2_set:
-                                        # Fall back to an L2 fill (inlined
-                                        # fill_absent with listeners).
-                                        if len(p_l2_set) >= l2_ways:
-                                            victim = p_l2_set.pop(
-                                                next(iter(p_l2_set))
-                                            )
-                                            l2c.evictions += 1
-                                            if (
-                                                victim.prefetched
-                                                and not victim.prefetch_useful
-                                            ):
-                                                l2c.useless_prefetch_evictions += 1
-                                            for listener in l2_listeners:
-                                                listener(victim)
-                                            victim.block = pblock
-                                            victim.prefetched = True
-                                            victim.prefetch_useful = False
-                                            victim.from_dram = from_dram
-                                            victim.dirty = False
-                                            victim.useful_counted = False
-                                            p_l2_set[pblock] = victim
-                                        else:
-                                            p_l2_set[pblock] = CacheBlock(
-                                                pblock, True, False, from_dram
-                                            )
-                                        prefetch_stats.filled_l2 += 1
-                                    continue
-                                # Allocate (block proven absent; expiry only
-                                # removes entries, so it still is).
-                                ready = issue_cycle + source_latency
-                                mshr_entries[pblock] = MSHREntry(
-                                    pblock, ready, True, 1, from_dram
-                                )
-                                if ready < l1_mshr._min_ready:
-                                    l1_mshr._min_ready = ready
-                                prefetch_stats.filled_l1 += 1
-                            else:
-                                if pblock not in p_l2_set:
-                                    # Inlined L2 fill_absent with listeners.
-                                    if len(p_l2_set) >= l2_ways:
-                                        victim = p_l2_set.pop(
-                                            next(iter(p_l2_set))
-                                        )
-                                        l2c.evictions += 1
-                                        if (
-                                            victim.prefetched
-                                            and not victim.prefetch_useful
-                                        ):
-                                            l2c.useless_prefetch_evictions += 1
-                                        for listener in l2_listeners:
-                                            listener(victim)
-                                        victim.block = pblock
-                                        victim.prefetched = True
-                                        victim.prefetch_useful = False
-                                        victim.from_dram = from_dram
-                                        victim.dirty = False
-                                        victim.useful_counted = False
-                                        p_l2_set[pblock] = victim
-                                    else:
-                                        p_l2_set[pblock] = CacheBlock(
-                                            pblock, True, False, from_dram
-                                        )
-                                    prefetch_stats.filled_l2 += 1
-                                else:
-                                    prefetch_stats.redundant += 1
-
-                is_store = kind == 1
-                if not inline_ok:
-                    result = demand_access(address, issue_cycle, is_store)
-                    latency = result.latency
-                else:
-                    # Inlined demand_access (bit-identical bookkeeping; the
-                    # eviction listeners run exactly as Cache.fill would
-                    # invoke them).
-                    stats.demand_accesses += 1
-                    if mshr_entries:
-                        # expire()'s nothing-ready fast path, hoisted: skip
-                        # the call chain entirely until a fill can be due.
-                        if issue_cycle >= l1_mshr._min_ready:
-                            complete_ready(issue_cycle)
-                        inflight = mshr_entries.get(block)
-                    else:
-                        inflight = None
-                    if inflight is not None:
-                        remaining = inflight.ready_cycle - issue_cycle
-                        latency = (
-                            remaining if remaining > l1_latency else l1_latency
-                        )
-                        del mshr_entries[block]
-                        is_pf = inflight.is_prefetch
-                        inflight_dram = inflight.from_dram
-                        l1_set = l1_sets[block & l1_mask]
-                        if len(l1_set) >= l1_ways:
-                            victim = l1_set.pop(next(iter(l1_set)))
-                            l1d.evictions += 1
+                        # Inlined L2 fill (absent).
+                        if len(l2_set) >= l2_ways:
+                            victim = l2_set.pop(next(iter(l2_set)))
+                            l2c.evictions += 1
                             if victim.prefetched and not victim.prefetch_useful:
-                                l1d.useless_prefetch_evictions += 1
-                            for listener in l1_listeners:
+                                l2c.useless_prefetch_evictions += 1
+                            for listener in l2_listeners:
                                 listener(victim)
                             victim.block = block
-                            victim.prefetched = is_pf
+                            victim.prefetched = False
                             victim.prefetch_useful = False
-                            victim.from_dram = inflight_dram
-                            victim.dirty = is_store
+                            victim.from_dram = from_dram
+                            victim.dirty = False
                             victim.useful_counted = False
-                            l1_set[block] = victim
-                            entry = victim
+                            l2_set[block] = victim
                         else:
-                            entry = CacheBlock(
-                                block, is_pf, False, inflight_dram, is_store
+                            l2_set[block] = CacheBlock(
+                                block, False, False, from_dram
                             )
-                            l1_set[block] = entry
-                        stats.l1_hits += 1
-                        if is_pf:
-                            entry.prefetch_useful = True
-                            prefetch_stats.useful_l1 += 1
-                            prefetch_stats.late += 1
-                            if inflight_dram:
-                                prefetch_stats.covered_llc_misses += 1
-                        stats.total_demand_latency += latency
-                        result = result_inflight
-                        result.latency = latency
-                        result.served_by_prefetch = is_pf
-                        result.late_prefetch = is_pf
+                    # Inlined L1 fill (absent).
+                    if len(l1_set) >= l1_ways:
+                        victim = l1_set.pop(next(iter(l1_set)))
+                        l1d.evictions += 1
+                        if victim.prefetched and not victim.prefetch_useful:
+                            l1d.useless_prefetch_evictions += 1
+                        for listener in l1_listeners:
+                            listener(victim)
+                        victim.block = block
+                        victim.prefetched = False
+                        victim.prefetch_useful = False
+                        victim.from_dram = from_dram
+                        victim.dirty = is_store
+                        victim.useful_counted = False
+                        l1_set[block] = victim
                     else:
-                        l1_set = l1_sets[block & l1_mask]
-                        entry = l1_set.get(block)
-                        if entry is not None:
-                            del l1_set[block]
-                            l1_set[block] = entry
-                            l1d.hits += 1
-                            served = False
-                            if entry.prefetched:
-                                if not entry.prefetch_useful:
-                                    entry.prefetch_useful = True
-                                if not entry.useful_counted:
-                                    entry.useful_counted = True
-                                    served = True
-                                    prefetch_stats.useful_l1 += 1
-                                    if entry.from_dram:
-                                        prefetch_stats.covered_llc_misses += 1
-                            if is_store:
-                                entry.dirty = True
-                            stats.l1_hits += 1
-                            stats.total_demand_latency += l1_latency
-                            latency = l1_latency
-                            result = result_l1
-                            result.served_by_prefetch = served
-                        else:
-                            l1d.misses += 1
-                            stats.l1_misses += 1
-
-                            l2_set = l2_sets[block & l2_mask]
-                            entry = l2_set.get(block)
-                            if entry is not None:
-                                del l2_set[block]
-                                l2_set[block] = entry
-                                l2c.hits += 1
-                                served = False
-                                if entry.prefetched:
-                                    if not entry.prefetch_useful:
-                                        entry.prefetch_useful = True
-                                    if not entry.useful_counted:
-                                        entry.useful_counted = True
-                                        served = True
-                                        prefetch_stats.useful_l2 += 1
-                                        if entry.from_dram:
-                                            prefetch_stats.covered_llc_misses += 1
-                                # Inlined L1 fill (absent).
-                                if len(l1_set) >= l1_ways:
-                                    victim = l1_set.pop(next(iter(l1_set)))
-                                    l1d.evictions += 1
-                                    if (
-                                        victim.prefetched
-                                        and not victim.prefetch_useful
-                                    ):
-                                        l1d.useless_prefetch_evictions += 1
-                                    for listener in l1_listeners:
-                                        listener(victim)
-                                    victim.block = block
-                                    victim.prefetched = False
-                                    victim.prefetch_useful = False
-                                    victim.from_dram = False
-                                    victim.dirty = is_store
-                                    victim.useful_counted = False
-                                    l1_set[block] = victim
-                                else:
-                                    l1_set[block] = CacheBlock(
-                                        block, False, False, False, is_store
-                                    )
-                                stats.l2_hits += 1
-                                stats.total_demand_latency += lat_l2
-                                latency = lat_l2
-                                result = result_l2
-                                result.served_by_prefetch = served
-                            else:
-                                l2c.misses += 1
-                                stats.l2_misses += 1
-
-                                llc_set = llc_sets[block & llc_mask]
-                                entry = llc_set.get(block)
-                                if entry is not None:
-                                    del llc_set[block]
-                                    llc_set[block] = entry
-                                    llc.hits += 1
-                                    if (
-                                        entry.prefetched
-                                        and not entry.prefetch_useful
-                                    ):
-                                        entry.prefetch_useful = True
-                                    from_dram = False
-                                    latency = lat_llc
-                                    stats.llc_hits += 1
-                                    result = result_llc
-                                else:
-                                    llc.misses += 1
-                                    stats.llc_misses += 1
-                                    if dram_plain:
-                                        # Inlined DRAMModel.access (demand).
-                                        channel = block % dram_channels
-                                        bank = (
-                                            channel * dram_banks
-                                            + (block // dram_channels)
-                                            % dram_banks
-                                        )
-                                        row = block // dram_row_div
-                                        if dram_open_row.get(bank) == row:
-                                            array_latency = dram_hit_lat
-                                            dram_stats.row_hits += 1
-                                        else:
-                                            array_latency = dram_miss_lat
-                                            dram_stats.row_misses += 1
-                                            dram_open_row[bank] = row
-                                        bank_wait = (
-                                            dram_bank_busy.get(bank, 0.0)
-                                            - issue_cycle
-                                        )
-                                        if bank_wait < 0.0:
-                                            bank_wait = 0.0
-                                        array_done = (
-                                            issue_cycle
-                                            + bank_wait
-                                            + array_latency
-                                        )
-                                        dram_bank_busy[bank] = array_done
-                                        bus_start = dram_channel_busy[channel]
-                                        if array_done > bus_start:
-                                            bus_start = array_done
-                                        bus_done = bus_start + dram_transfer
-                                        dram_channel_busy[channel] = bus_done
-                                        bus_wait = bus_start - array_done
-                                        dram_stats.requests += 1
-                                        dram_stats.demand_requests += 1
-                                        dram_stats.total_queue_wait += int(
-                                            bank_wait
-                                            + (
-                                                bus_wait
-                                                if bus_wait > 0.0
-                                                else 0.0
-                                            )
-                                        )
-                                        dram_stats.total_service_cycles += int(
-                                            array_latency + dram_transfer
-                                        )
-                                        latency = lat_llc + int(
-                                            round(bus_done - issue_cycle)
-                                        )
-                                    else:
-                                        latency = lat_llc + dram_access(
-                                            block, issue_cycle, False
-                                        )
-                                    stats.dram_reads += 1
-                                    from_dram = True
-                                    # Inlined LLC fill (absent).
-                                    if len(llc_set) >= llc_ways:
-                                        victim = llc_set.pop(
-                                            next(iter(llc_set))
-                                        )
-                                        llc.evictions += 1
-                                        if (
-                                            victim.prefetched
-                                            and not victim.prefetch_useful
-                                        ):
-                                            llc.useless_prefetch_evictions += 1
-                                        for listener in llc_listeners:
-                                            listener(victim)
-                                        victim.block = block
-                                        victim.prefetched = False
-                                        victim.prefetch_useful = False
-                                        victim.from_dram = True
-                                        victim.dirty = False
-                                        victim.useful_counted = False
-                                        llc_set[block] = victim
-                                    else:
-                                        llc_set[block] = CacheBlock(
-                                            block, False, False, True
-                                        )
-                                    result = result_dram
-                                    result.latency = latency
-
-                                # Inlined L2 + L1 fills (absent from both).
-                                if len(l2_set) >= l2_ways:
-                                    victim = l2_set.pop(next(iter(l2_set)))
-                                    l2c.evictions += 1
-                                    if (
-                                        victim.prefetched
-                                        and not victim.prefetch_useful
-                                    ):
-                                        l2c.useless_prefetch_evictions += 1
-                                    for listener in l2_listeners:
-                                        listener(victim)
-                                    victim.block = block
-                                    victim.prefetched = False
-                                    victim.prefetch_useful = False
-                                    victim.from_dram = from_dram
-                                    victim.dirty = False
-                                    victim.useful_counted = False
-                                    l2_set[block] = victim
-                                else:
-                                    l2_set[block] = CacheBlock(
-                                        block, False, False, from_dram
-                                    )
-                                if len(l1_set) >= l1_ways:
-                                    victim = l1_set.pop(next(iter(l1_set)))
-                                    l1d.evictions += 1
-                                    if (
-                                        victim.prefetched
-                                        and not victim.prefetch_useful
-                                    ):
-                                        l1d.useless_prefetch_evictions += 1
-                                    for listener in l1_listeners:
-                                        listener(victim)
-                                    victim.block = block
-                                    victim.prefetched = False
-                                    victim.prefetch_useful = False
-                                    victim.from_dram = from_dram
-                                    victim.dirty = is_store
-                                    victim.useful_counted = False
-                                    l1_set[block] = victim
-                                else:
-                                    l1_set[block] = CacheBlock(
-                                        block, False, False, from_dram, is_store
-                                    )
-                                stats.total_demand_latency += latency
-
-                # Inlined complete_memory_access.
-                completion = issue + (latency if latency > 1 else 1)
-                out_append((instr, completion))
-                if latency > miss_threshold:
-                    misses_list.append(completion)
-                    if completion < misses_min:
-                        misses_min = completion
-                if issue > fetch:
-                    fetch = issue
-
-                if kind == 0 and train is not None:
-                    requests = train(pc, address, issue_cycle, result)
-                    if requests:
-                        if not use_packed:
-                            enqueue_prefetches(requests, issue_cycle)
-                        else:
-                            # push()'s bookkeeping batched per call, as
-                            # enqueue_prefetches does.
-                            total = 0
-                            accepted = 0
-                            for request in requests:
-                                total += 1
-                                if len(pending_prefetches) < pq_capacity:
-                                    pq_append(
-                                        (request.address >> 6) << 1
-                                        | (1 if request.hint is hint_l1 else 0)
-                                    )
-                                    accepted += 1
-                            prefetch_queue.enqueued += accepted
-                            prefetch_stats.generated += total
-                            if accepted != total:
-                                dropped = total - accepted
-                                prefetch_queue.dropped_full += dropped
-                                prefetch_stats.dropped_queue_full += dropped
-
-            if use_packed and pending_prefetches:
-                # Convert surviving packed entries back to the standard
-                # (request, enqueue_cycle) tuples so flush_prefetches and
-                # any later kernel invocation see the usual PQ shape.  The
-                # enqueue cycle is never read after this point (issuing uses
-                # the caller-supplied cycle), so the current issue cycle
-                # stands in for the lost per-entry value.
-                convert_cycle = int(issue)
-                for _ in range(len(pending_prefetches)):
-                    p = pq_popleft()
-                    pq_append(
-                        (
-                            PrefetchRequest(
-                                (p >> 1) << 6,
-                                hint_l1 if p & 1 else hint_l2,
-                                0,
-                                "",
-                            ),
-                            convert_cycle,
+                        l1_set[block] = CacheBlock(
+                            block, False, False, from_dram, is_store
                         )
+                    stats.total_demand_latency += latency
+
+            # Inlined complete_memory_access.
+            completion = issue + (latency if latency > 1 else 1)
+            out_append((instr, completion))
+            if latency > miss_threshold:
+                misses_list.append(completion)
+                if completion < misses_min:
+                    misses_min = completion
+            if issue > fetch:
+                fetch = issue
+
+            if kind == 0 and train is not None:
+                requests = train(pc, address, issue_cycle, result)
+                if requests:
+                    # push()'s bookkeeping batched per call, as
+                    # enqueue_prefetches does.
+                    total = 0
+                    accepted = 0
+                    for request in requests:
+                        total += 1
+                        if len(pending_prefetches) < pq_capacity:
+                            pq_append(
+                                (request.address >> 6) << 1
+                                | (1 if request.hint is hint_l1 else 0)
+                            )
+                            accepted += 1
+                    prefetch_queue.enqueued += accepted
+                    prefetch_stats.generated += total
+                    if accepted != total:
+                        dropped = total - accepted
+                        prefetch_queue.dropped_full += dropped
+                        prefetch_stats.dropped_queue_full += dropped
+
+        if pending_prefetches:
+            # Convert surviving packed entries back to the standard
+            # (request, enqueue_cycle) tuples so flush_prefetches and any
+            # later kernel invocation see the usual PQ shape.  The enqueue
+            # cycle is never read after this point (issuing uses the
+            # caller-supplied cycle), so the current issue cycle stands in
+            # for the lost per-entry value.
+            convert_cycle = int(issue)
+            for _ in range(len(pending_prefetches)):
+                p = pq_popleft()
+                pq_append(
+                    (
+                        PrefetchRequest(
+                            (p >> 1) << 6,
+                            hint_l1 if p & 1 else hint_l2,
+                            0,
+                            "",
+                        ),
+                        convert_cycle,
                     )
+                )
 
         core._instr_count = instr
         core._fetch_cycle = fetch

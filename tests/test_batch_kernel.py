@@ -219,27 +219,45 @@ class TestBatchedScalarEquivalence:
         via_view = simulate_trace(batched_input, batch="off")
         _assert_identical(scalar, via_view, "batch=off over BatchedTrace")
 
-    def test_non_power_of_two_l1_falls_back_to_scalar(self):
+    @pytest.mark.parametrize("prefetcher_name", ["none", "gaze"])
+    @pytest.mark.parametrize(
+        "level,odd_sets", [("l1d", 48), ("l2c", 768), ("llc", 1536)]
+    )
+    def test_non_power_of_two_l1_falls_back_to_scalar(
+        self, level, odd_sets, prefetcher_name
+    ):
         config = default_system_config(1)
-        # 48 sets (not a power of two) at the default associativity.
-        odd_l1 = CacheConfig(
-            name="L1D", size_bytes=48 * config.l1d.ways * 64,
-            ways=config.l1d.ways, latency=config.l1d.latency,
-            mshrs=config.l1d.mshrs,
-            prefetch_queue_size=config.l1d.prefetch_queue_size,
+        # An odd set count (not a power of two) at the default associativity.
+        base = getattr(config, level)
+        odd_cache = CacheConfig(
+            name=base.name, size_bytes=odd_sets * base.ways * 64,
+            ways=base.ways, latency=base.latency,
+            mshrs=base.mshrs,
+            prefetch_queue_size=base.prefetch_queue_size,
             max_prefetch_issue_per_access=(
-                config.l1d.max_prefetch_issue_per_access
+                base.max_prefetch_issue_per_access
             ),
         )
-        assert odd_l1.sets == 48
-        odd_config = type(config)(
-            core=config.core, l1d=odd_l1, l2c=config.l2c, llc=config.llc,
-            dram=config.dram,
-        )
+        assert odd_cache.sets == odd_sets
+        caches = {"l1d": config.l1d, "l2c": config.l2c, "llc": config.llc}
+        caches[level] = odd_cache
+        odd_config = type(config)(core=config.core, dram=config.dram, **caches)
+
+        def prefetcher():
+            if prefetcher_name == "none":
+                return None
+            return create_prefetcher(prefetcher_name)
+
         trace = _trace(length=600)
-        scalar = simulate_trace(trace, config=odd_config, batch="off")
-        batched = simulate_trace(trace, config=odd_config, batch="auto")
-        _assert_identical(scalar, batched, "non-power-of-two L1 geometry")
+        scalar = simulate_trace(
+            trace, prefetcher=prefetcher(), config=odd_config, batch="off"
+        )
+        batched = simulate_trace(
+            trace, prefetcher=prefetcher(), config=odd_config, batch="auto"
+        )
+        _assert_identical(
+            scalar, batched, f"non-power-of-two {level} geometry"
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,11 +1,13 @@
 """Compiled batched driver loop: equivalence, engagement, tier reporting.
 
 Under ``kernel="compiled"`` the simulator hands whole batched chunks to the
-C ``DriverKernel`` (:mod:`repro.sim.driver`) for every prefetcher: the bare
-no-prefetcher run takes the fused loop, the four designs with full C twins
-(vberti, gaze, pmp, triangel) train in-process, and every other design is
-called back through its Python ``train``/``on_cache_eviction``.  Only
-geometry and run shape decline to the Python driver.  Both paths must be
+C ``DriverKernel`` (:mod:`repro.sim.driver`) for every prefetcher.  Its one
+loop retires L1-hit runs whole for the bare no-prefetcher run, trains the
+four designs with full C twins (vberti, gaze, pmp, triangel) in-process,
+and calls every other design back through its Python
+``train``/``on_cache_eviction``.  Only geometry and run shape decline to
+the Python driver; a geometry decline records its reason
+(``non-power-of-two cache set count``), not the scalar path it led to.  Both paths must be
 *bit-identical* for every statistic and for the complete hierarchy state
 the driver exports when it is read — caches (contents, flags and LRU
 order), MSHR file, prefetch queue, DRAM bank/row/channel timing and the

@@ -1,9 +1,10 @@
 """Hit-run retirement regression suite, driven by temporal-reuse traces.
 
-The batched kernel retires dense L1-hit runs through two fused paths:
-:meth:`repro.sim.cache.Cache.demand_hit_run` (residency scan + batched LRU
-touches) and :meth:`repro.sim.cpu.CoreTimingModel.advance_hit_run` (the
-aggregate timing advance).  The temporal-reuse generators are what actually
+Without a prefetcher, the batched kernel's one loop retires dense L1-hit
+runs through two calls: :meth:`repro.sim.cache.Cache.demand_hit_run`
+(residency scan + batched LRU touches) and
+:meth:`repro.sim.cpu.CoreTimingModel.advance_hit_run` (the aggregate timing
+advance).  The temporal-reuse generators are what actually
 produce such runs — ring traffic re-touches a small slot window and a
 resident pointer cycle replays its node blocks — so this suite uses them
 to pin three things:
