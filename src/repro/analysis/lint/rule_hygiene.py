@@ -43,7 +43,6 @@ HOT_MODULES = frozenset(
         "src/repro/sim/driver.py",
         "src/repro/sim/hierarchy.py",
         "src/repro/sim/prefetch_queue.py",
-        "src/repro/sim/sharding.py",
         "src/repro/sim/stats.py",
         "src/repro/sim/types.py",
         "src/repro/prefetchers/tables.py",

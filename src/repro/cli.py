@@ -4,7 +4,7 @@ Examples::
 
     python -m repro run --figure fig6 --jobs 4
     python -m repro run --figure fig11 --trace-length 4000
-    python -m repro run --figure fig14 --jobs 4 --mix-mode epoch
+    python -m repro run --figure fig14 --jobs 4
     python -m repro run --suite spec17 --suite cloud --prefetchers gaze,pmp
     python -m repro run --table table5
     python -m repro run --sweep dram --jobs 8
@@ -76,7 +76,7 @@ _RUNNER_FIGURES: Dict[str, Callable[..., object]] = {
 _FIXED_TRACE_FIGURES = ("fig10", "fig11", "fig17", "fig18", "fig19")
 
 #: Multi-core figures: engine-backed mix jobs that honour --jobs / the
-#: cache plus the mix-specific flags (--mix-mode, --epoch-instructions).
+#: cache and map --trace-length onto the mix's own trace length.
 _MIX_FIGURES = ("fig14", "fig15")
 
 _TABLES: Dict[str, Callable[..., object]] = {
@@ -127,13 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="accesses per trace (default 12000)")
     run.add_argument("--traces-per-suite", type=int, default=None, metavar="K",
                      help="traces per suite (default 3; 0 = all)")
-    run.add_argument("--mix-mode", choices=("exact", "epoch"), default="exact",
-                     help="multi-core schedule for fig14/fig15: exact "
-                          "access-by-access interleaving (default) or the "
-                          "epoch-sharded approximation")
-    run.add_argument("--epoch-instructions", type=int, default=0, metavar="E",
-                     help="epoch length for --mix-mode epoch "
-                          "(0 = auto: budget/8, at least 500)")
     run.add_argument("--batch", choices=("auto", "on", "off"), default="auto",
                      help="simulation kernel for single-core jobs: batched "
                           "over array-decoded traces when decodable (auto, "
@@ -488,23 +481,12 @@ def _cmd_run_inner(args: argparse.Namespace) -> int:
             f"{target} defines its own workloads, flags ignored",
             file=sys.stderr,
         )
-    if args.figure not in _MIX_FIGURES and (
-        args.mix_mode != "exact" or args.epoch_instructions
-    ):
-        print(
-            "note: --mix-mode/--epoch-instructions only apply to the "
-            f"multi-core figures ({', '.join(_MIX_FIGURES)}); flags ignored",
-            file=sys.stderr,
-        )
 
     start = time.perf_counter()
     engine_used = True
     if args.figure in _MIX_FIGURES:
         title = args.figure
-        mix_kwargs: Dict[str, object] = {
-            "mode": args.mix_mode,
-            "epoch_instructions": args.epoch_instructions,
-        }
+        mix_kwargs: Dict[str, object] = {}
         if args.trace_length is not None:
             # Mixes scale independently of the single-core grids, so the
             # flag maps onto the mix's own trace length.

@@ -14,10 +14,9 @@ Three case kinds cover the perf-relevant execution paths:
   single-core fast path (in-job timing, trace generation excluded via the
   per-process memo);
 * ``mix`` — a fixed four-core heterogeneous mix through the multi-core
-  driver, in both the ``exact`` interleaved schedule and the epoch-sharded
-  schedule (timed externally; the rate counts *measured* demand accesses
-  across all cores, which undercounts post-budget pressure replay — a
-  consistent definition across snapshots);
+  driver's round-robin schedule (timed externally; the rate counts
+  *measured* demand accesses across all cores, which undercounts
+  post-budget pressure replay — a consistent definition across snapshots);
 * ``stream`` — a trace-file case that decodes a compressed on-disk trace on
   every pass, measuring the streaming-ingestion path end to end.
 
@@ -128,11 +127,11 @@ class BenchCase:
     """One fixed benchmark case.
 
     ``kind`` selects the execution path: ``"kernel"`` (single-core fast
-    path over a generated trace), ``"mix"`` (the fixed four-core mix with
-    ``mode`` = ``exact``/``epoch``) or ``"stream"`` (single-core over a
-    compressed on-disk trace file, decoded on every pass).  ``generator``
-    and ``seed`` are unused for ``mix`` cases (the mix composition is the
-    fixed :data:`MIX_BENCH_SPECS`).
+    path over a generated trace), ``"mix"`` (the fixed four-core mix) or
+    ``"stream"`` (single-core over a compressed on-disk trace file,
+    decoded on every pass).  ``generator`` and ``seed`` are unused for
+    ``mix`` cases (the mix composition is the fixed
+    :data:`MIX_BENCH_SPECS`).
 
     ``batch`` is the kernel knob of single-core cases: the default
     ``"auto"`` measures the batched kernel (the engine default; key
@@ -154,7 +153,6 @@ class BenchCase:
     generator: str
     seed: int
     prefetcher: str
-    mode: str = "exact"
     batch: str = "auto"
     kernel: str = "auto"
 
@@ -166,8 +164,11 @@ class BenchCase:
                 key += "@scalar"
             return key
         if self.kind == "mix":
+            # "-exact" names the schedule of earlier snapshots, which also
+            # recorded an epoch-sharded mix; keeping it keeps the key
+            # comparable with them.
             cores = len(MIX_BENCH_SPECS)
-            return f"mix{cores}-hetero-L{trace_length}-{self.mode}/{self.prefetcher}"
+            return f"mix{cores}-hetero-L{trace_length}-exact/{self.prefetcher}"
         return (
             f"stream-gzt-{self.generator}-s{self.seed}-L{trace_length}"
             f"/{self.prefetcher}"
@@ -191,7 +192,7 @@ QUICK_CASES: Tuple[BenchCase, ...] = (
     _kernel_case(*TEMPORAL_BENCH_TRACE, "none"),
     _kernel_case(*TEMPORAL_BENCH_TRACE, "triangel"),
     BenchCase("kernel", "spatial", 11, "none", batch="off"),
-    BenchCase("mix", "hetero", 0, "gaze", mode="exact"),
+    BenchCase("mix", "hetero", 0, "gaze"),
     BenchCase("stream", *STREAM_BENCH_TRACE, "gaze"),
 )
 
@@ -250,8 +251,7 @@ def bench_cases(
         cases.append(
             BenchCase("kernel", *TEMPORAL_BENCH_TRACE, "none", batch="off")
         )
-        cases.append(BenchCase("mix", "hetero", 0, "gaze", mode="exact"))
-        cases.append(BenchCase("mix", "hetero", 0, "gaze", mode="epoch"))
+        cases.append(BenchCase("mix", "hetero", 0, "gaze"))
         cases.append(BenchCase("stream", *STREAM_BENCH_TRACE, "gaze"))
         cases.append(BenchCase("stream", *TEMPORAL_BENCH_TRACE, "triangel"))
     if kinds is not None:
@@ -357,7 +357,6 @@ def _run_mix_case(
         prefetcher=case.prefetcher,
         trace_length=per_core_length,
         max_instructions_per_core=trace_length,
-        mode=case.mode,
     )
 
     def run_once():

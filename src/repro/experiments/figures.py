@@ -346,17 +346,13 @@ def fig14_multicore(
         "facesim-like",
         "xalancbmk_s-like",
     ),
-    mode: str = "exact",
-    epoch_instructions: int = 0,
-    workers: int = 1,
 ) -> Dict[str, Dict[str, Dict[int, float]]]:
     """Multi-core speedups for homogeneous and heterogeneous mixes.
 
     Every mix — baselines included — is submitted to the runner's engine as
     one :class:`~repro.experiments.jobs.MixSimulationJob` batch, so
     ``--jobs N`` shards mixes across worker processes and warm re-runs are
-    answered from the persistent cache.  ``mode`` selects the execution
-    schedule (``"exact"`` interleaving or the epoch-sharded approximation).
+    answered from the persistent cache.
 
     Returns ``{"homogeneous"|"heterogeneous": {prefetcher: {cores: speedup}}}``.
     """
@@ -370,9 +366,6 @@ def fig14_multicore(
             prefetcher,
             trace_length=trace_length,
             max_instructions_per_core=max_instructions_per_core,
-            mode=mode,
-            epoch_instructions=epoch_instructions,
-            workers=workers,
         )
 
     jobs = []
@@ -412,9 +405,6 @@ def fig15_four_core_mixes(
     trace_length: int = 8_000,
     max_instructions_per_core: int = 30_000,
     mixes: Optional[Dict[str, Sequence[str]]] = None,
-    mode: str = "exact",
-    epoch_instructions: int = 0,
-    workers: int = 1,
 ) -> List[Dict[str, object]]:
     """Per-core and average speedups on the selected four-core mixes (Table VI).
 
@@ -431,9 +421,6 @@ def fig15_four_core_mixes(
             prefetcher,
             trace_length=trace_length,
             max_instructions_per_core=max_instructions_per_core,
-            mode=mode,
-            epoch_instructions=epoch_instructions,
-            workers=workers,
         )
 
     jobs = []

@@ -12,10 +12,10 @@ result cache (warm re-runs skip simulation entirely).
 
 :class:`MixSimulationJob` is the multi-core counterpart: one frozen
 description of an ``n``-core mix (a content-hashed *tuple* of trace specs,
-one per core) plus the execution schedule (``exact`` or epoch-sharded).
-Mix jobs flow through the same engine/executor/cache machinery, which is
-what shards fig. 14 / Table VI mixes across worker processes and lets warm
-re-runs answer them from the persistent cache.
+one per core) run on the round-robin multi-core schedule.  Mix jobs flow
+through the same engine/executor/cache machinery, which is what shards
+fig. 14 / Table VI mixes across worker processes and lets warm re-runs
+answer them from the persistent cache.
 
 :func:`execute_job` is the pure top-level worker for both job kinds: it
 depends only on its argument, so ``ProcessPoolExecutor`` can ship it to
@@ -33,7 +33,7 @@ from repro.hashing import content_hash
 from repro.prefetchers.registry import create_prefetcher
 from repro.sim.batch import BatchedTrace
 from repro.sim.config import SystemConfig
-from repro.sim.multicore import MIX_MODES, MultiCoreSimulator
+from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import BATCH_MODES, KERNEL_MODES, simulate_trace
 from repro.sim.stats import MultiCoreStats, SimulationStats
 from repro.sim.types import MemoryAccess
@@ -148,11 +148,8 @@ class MixSimulationJob:
 
     ``specs`` holds one :class:`~repro.workloads.trace.TraceSpec` per core
     (a homogeneous mix repeats one spec), so the job key covers the
-    content-hashed trace tuple; ``mode``/``epoch_instructions`` select the
-    execution schedule (see :mod:`repro.sim.multicore`) and participate in
-    the key because they affect results.  ``workers`` — the thread count
-    for epoch-sharded core execution — is deliberately *excluded* from the
-    key: results are identical for any worker count.
+    content-hashed trace tuple.  Every field affects results, so every
+    field is part of the key.
 
     ``system`` is the per-core base configuration; the simulator scales the
     shared LLC/DRAM for ``len(specs)`` cores exactly as the paper's Table
@@ -164,22 +161,11 @@ class MixSimulationJob:
     system: SystemConfig = field(default_factory=SystemConfig)
     trace_length: int = 8_000
     max_instructions_per_core: int = 30_000
-    mode: str = "exact"
-    epoch_instructions: int = 0
     prefetcher_params: Tuple[Tuple[str, object], ...] = ()
-    workers: int = 1
-
-    #: Execution-detail fields deliberately left out of the job key (see
-    #: :attr:`SimulationJob.KEY_EXCLUDED`); checked by ``repro lint`` R1.
-    KEY_EXCLUDED = ("workers",)
 
     def __post_init__(self) -> None:
         if not self.specs:
             raise ValueError("a mix needs at least one trace spec")
-        if self.mode not in MIX_MODES:
-            raise ValueError(
-                f"unknown mix mode {self.mode!r}; expected one of {MIX_MODES}"
-            )
 
     @property
     def num_cores(self) -> int:
@@ -202,10 +188,7 @@ class MixSimulationJob:
         return f"mix{self.num_cores}[{'+'.join(s.name for s in self.specs)}]/{prefetcher}"
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-data representation of every result-affecting input.
-
-        ``workers`` is omitted on purpose (execution detail, not identity).
-        """
+        """Plain-data representation of every result-affecting input."""
         return {
             "kind": "mix",
             "specs": [spec.identity_dict() for spec in self.specs],
@@ -216,8 +199,6 @@ class MixSimulationJob:
             "system": self.system.to_dict(),
             "trace_length": self.trace_length,
             "max_instructions_per_core": self.max_instructions_per_core,
-            "mode": self.mode,
-            "epoch_instructions": self.epoch_instructions,
         }
 
     def key(self, salt: str = "") -> str:
@@ -323,9 +304,8 @@ def _trace_for_job(job: SimulationJob):
 def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
     """Run one multi-core mix job to completion and return its statistics.
 
-    Pure with respect to ``job`` for any ``workers`` value: trace specs are
-    seed-deterministic or digest-pinned, and the epoch-sharded schedule is
-    deterministic under concurrency (see :mod:`repro.sim.multicore`).
+    Pure with respect to ``job``: trace specs are seed-deterministic or
+    digest-pinned, and the round-robin schedule is deterministic.
     """
     traces = []
     for spec in job.specs:
@@ -349,9 +329,6 @@ def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
     return simulator.run(
         traces,
         max_instructions_per_core=job.max_instructions_per_core,
-        mode=job.mode,
-        epoch_instructions=job.epoch_instructions,
-        workers=job.workers,
     )
 
 

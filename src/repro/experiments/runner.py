@@ -247,9 +247,6 @@ class ExperimentRunner:
         prefetcher_name: str = "none",
         trace_length: int = 8_000,
         max_instructions_per_core: int = 30_000,
-        mode: str = "exact",
-        epoch_instructions: int = 0,
-        workers: int = 1,
         prefetcher_params: Optional[PrefetcherParams] = None,
     ) -> MixSimulationJob:
         """Build the :class:`MixSimulationJob` for one multi-core mix.
@@ -266,9 +263,6 @@ class ExperimentRunner:
             system=self.system,
             trace_length=trace_length,
             max_instructions_per_core=max_instructions_per_core,
-            mode=mode,
-            epoch_instructions=epoch_instructions,
-            workers=workers,
             prefetcher_params=_normalize_params(prefetcher_params),
         )
 

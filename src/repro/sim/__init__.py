@@ -41,7 +41,7 @@ from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.cpu import CoreTimingModel
 from repro.sim.stats import MultiCoreStats, PrefetchStats, SimulationStats
 from repro.sim.simulator import SingleCoreSimulator, simulate_trace
-from repro.sim.multicore import MIX_MODES, MultiCoreSimulator, simulate_mix
+from repro.sim.multicore import MultiCoreSimulator, simulate_mix
 
 __all__ = [
     "AccessType",
@@ -54,7 +54,6 @@ __all__ = [
     "CoreTimingModel",
     "DRAMConfig",
     "DRAMModel",
-    "MIX_MODES",
     "MemoryAccess",
     "MultiCoreSimulator",
     "MultiCoreStats",

@@ -301,33 +301,6 @@ class Cache:
         """Remove ``block`` from the cache (no listeners fired)."""
         return self._sets[self.set_index(block)].pop(block, None)
 
-    def clone(self) -> "Cache":
-        """Deep copy of contents, recency order and aggregate counters.
-
-        Blocks are copied (the clone's flag mutations never leak back) and
-        dict insertion order — the LRU order — is preserved.  Eviction
-        listeners are deliberately *not* carried over: clones serve as
-        per-core shared-LLC shadows in epoch-sharded multi-core execution,
-        where the shared LLC has no listeners.
-        """
-        twin = Cache(self.config)
-        for index, cache_set in enumerate(self._sets):
-            twin_set = twin._sets[index]
-            for block, entry in cache_set.items():
-                twin_set[block] = CacheBlock(
-                    entry.block,
-                    entry.prefetched,
-                    entry.prefetch_useful,
-                    entry.from_dram,
-                    entry.dirty,
-                    entry.useful_counted,
-                )
-        twin.hits = self.hits
-        twin.misses = self.misses
-        twin.evictions = self.evictions
-        twin.useless_prefetch_evictions = self.useless_prefetch_evictions
-        return twin
-
     def reset_statistics(self) -> None:
         """Zero the aggregate hit/miss/eviction counters."""
         self.hits = 0

@@ -173,27 +173,3 @@ class DRAMModel:
         self._bank_busy_until.clear()
         self._open_row.clear()
         self.stats = DRAMStats()
-
-    def clone(self) -> "DRAMModel":
-        """Copy of the full timing state (busy times, open rows, counters).
-
-        Used by epoch-sharded multi-core execution to hand each core a
-        private shadow of the shared DRAM for one epoch; the shadows are
-        discarded after reconciliation, so counter copies only matter for
-        intra-epoch decisions (they make the clone behave exactly like the
-        original would have).
-        """
-        twin = DRAMModel(self.config)
-        twin._channel_busy_until = list(self._channel_busy_until)
-        twin._bank_busy_until = dict(self._bank_busy_until)
-        twin._open_row = dict(self._open_row)
-        twin.stats = DRAMStats(
-            requests=self.stats.requests,
-            demand_requests=self.stats.demand_requests,
-            prefetch_requests=self.stats.prefetch_requests,
-            row_hits=self.stats.row_hits,
-            row_misses=self.stats.row_misses,
-            total_queue_wait=self.stats.total_queue_wait,
-            total_service_cycles=self.stats.total_service_cycles,
-        )
-        return twin

@@ -37,9 +37,9 @@ class CacheHierarchy:
     """L1D + L2C + LLC + DRAM with prefetch support for one core.
 
     Slotted: ``demand_access`` and ``_issue_prefetch`` read these attributes
-    on every simulated access.  ``stats``/``llc``/``dram`` stay assignable
-    (warm-up stat swaps, epoch-sharded shadow rebinding) — slots only pin
-    the attribute *set*, not mutability.
+    on every simulated access.  ``stats`` stays assignable (warm-up and
+    budget-exhaustion stat swaps) — slots only pin the attribute *set*, not
+    mutability.
     """
 
     __slots__ = (
@@ -56,7 +56,6 @@ class CacheHierarchy:
         "_lat_llc",
         "_lat_l2_source",
         "_lat_llc_source",
-        "_llc_plain",
     )
 
     def __init__(
@@ -83,10 +82,6 @@ class CacheHierarchy:
         self._lat_llc = self._lat_l2 + config.llc.latency
         self._lat_l2_source = config.l2c.latency
         self._lat_llc_source = config.l2c.latency + config.llc.latency
-        # Plain-Cache LLCs (private single-core, or the shared exact-mode
-        # LLC) can take the listener-free fast fill for blocks that just
-        # missed; recording shadows and other duck-typed stand-ins cannot.
-        self._llc_plain = type(self.llc) is Cache and not self.llc.eviction_listeners
         self._register_eviction_listeners()
 
     # ------------------------------------------------------------------ #
@@ -102,19 +97,6 @@ class CacheHierarchy:
         # ``self.stats`` dynamically so warm-up stat swaps keep working.
         self.l1d.eviction_listeners.append(self._count_useless_eviction)
         self.l2c.eviction_listeners.append(self._count_useless_eviction)
-
-    def rebind_shared(self, llc, dram) -> None:
-        """Point this hierarchy at different shared LLC/DRAM objects.
-
-        The demand and prefetch paths read ``self.llc``/``self.dram``
-        dynamically, so rebinding takes effect on the next access.  The
-        epoch-sharded multi-core driver uses this to swap in per-epoch
-        recording shadows (anything duck-typing the ``probe``/``fill``/
-        ``lookup``/``contains`` and ``access`` surfaces is accepted).
-        """
-        self.llc = llc
-        self.dram = dram
-        self._llc_plain = type(llc) is Cache and not llc.eviction_listeners
 
     # ------------------------------------------------------------------ #
     # Demand path
@@ -239,10 +221,7 @@ class CacheHierarchy:
         dram_latency = self.dram.access(block, cycle, is_prefetch=False)
         latency = self._lat_llc + dram_latency
         stats.dram_reads += 1
-        if self._llc_plain:
-            self.llc.fill_absent(block, False, True)
-        else:
-            self.llc.fill(block, prefetched=False, from_dram=True)
+        self.llc.fill_absent(block, False, True)
         l2c.fill_absent(block, False, True)
         l1d.fill_absent(block, False, True, is_store)
         stats.total_demand_latency += latency
@@ -295,7 +274,7 @@ class CacheHierarchy:
         # sees demand accesses), so the L1D/L2C membership checks and the
         # L2C LRU touch are inlined set-dict operations — same rationale as
         # in :meth:`demand_access`.  The LLC and DRAM stay behind their
-        # methods (they may be recording shadows in multi-core runs).
+        # methods: they are reached only on an L2C miss.
         block = request.address >> BLOCK_SHIFT
         stats = self.stats.prefetch
         l1d = self.l1d
@@ -335,10 +314,7 @@ class CacheHierarchy:
             dram_latency = self.dram.access(block, cycle, is_prefetch=True)
             source_latency = self._lat_llc_source + dram_latency
             from_dram = True
-            if self._llc_plain:
-                self.llc.fill_absent(block, False, True)
-            else:
-                self.llc.fill(block, prefetched=False, from_dram=True)
+            self.llc.fill_absent(block, False, True)
 
         if not hint_is_l2 and hint is PrefetchHint.L1:
             if not l1_mshr.has_free_entry(cycle):

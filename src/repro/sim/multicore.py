@@ -10,28 +10,14 @@ accumulating statistics: its measured instruction/cycle totals are
 snapshotted the moment the budget is exhausted, and every later counter
 update lands in a discarded sink.
 
-Two execution schedules are provided:
-
-* ``mode="exact"`` — cores are interleaved access-by-access in a
-  round-robin fashion; contention appears through the shared LLC contents
-  and through the DRAM channel-occupancy model.  This is the reference
-  schedule (and the one golden mixes snapshot).
-* ``mode="epoch"`` — the epoch-sharded schedule: each core runs one epoch
-  (a fixed slice of instructions) against private recording shadows of the
-  shared LLC/DRAM, intra-epoch cross-core DRAM contention is approximated
-  by one-epoch-stale ghost traffic, and the master state is reconciled
-  between epochs by deterministically replaying the shared-resource
-  operation logs (see :mod:`repro.sim.sharding`).  Core-epochs are
-  independent tasks, so they may execute in any order — or concurrently
-  via ``workers`` — with results identical to the serial epoch schedule.
-  Relative to ``exact``, the approximation is bounded by the epoch length;
-  single-core mixes are bit-identical, and ``tests/test_multicore.py``
-  pins the per-core IPC error on golden multi-core mixes.
+Cores are interleaved access-by-access in a round-robin fashion, so
+contention appears through the shared LLC contents and through the DRAM
+channel-occupancy model.  :meth:`_CoreContext.step` executes one access of
+one core; it is the single Python model of a mix.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence
 
 from repro.sim.cache import Cache
@@ -39,31 +25,9 @@ from repro.sim.config import SystemConfig, default_system_config
 from repro.sim.cpu import CoreTimingModel
 from repro.sim.dram import DRAMModel
 from repro.sim.hierarchy import CacheHierarchy
-from repro.sim.sharding import (
-    CowCacheShadow,
-    RecordingCache,
-    RecordingDRAM,
-    replay_dram_logs,
-    replay_llc_log,
-    shifted_ghosts,
-)
 from repro.sim.simulator import _TraceReplayer
 from repro.sim.stats import MultiCoreStats, SimulationStats
 from repro.sim.types import AccessType, MemoryAccess
-
-#: Execution schedules accepted by :meth:`MultiCoreSimulator.run`.
-MIX_MODES = ("exact", "epoch")
-
-
-def default_epoch_instructions(max_instructions_per_core: int) -> int:
-    """The auto epoch length: an eighth of the budget, at least 500.
-
-    Short enough that shared-state reconciliation happens several times per
-    run (bounding the sharding approximation), long enough that the
-    clone/replay overhead stays well under the simulation cost.
-    """
-    return max(500, max_instructions_per_core // 8)
-
 
 class _CoreContext:
     """Per-core bookkeeping used by the multi-core driver."""
@@ -156,18 +120,6 @@ class _CoreContext:
             name=self.stats.name, prefetcher=self.stats.prefetcher
         )
 
-    def run_until(self, instruction_target: int) -> None:
-        """Step until this core has executed ``instruction_target`` total.
-
-        One core-epoch of the sharded schedule.  Touches only this
-        context's private state (and whatever shadows its hierarchy is
-        currently bound to), so concurrent calls on different contexts are
-        safe and deterministic.
-        """
-        step = self.step
-        while self.executed_instructions < instruction_target:
-            step()
-
     def finalize(self) -> SimulationStats:
         """Return the measured statistics (closing measurement if needed)."""
         if self.measuring:
@@ -192,16 +144,11 @@ class MultiCoreSimulator:
         self.num_cores = num_cores
         self.prefetcher_factory = prefetcher_factory
         self.name = name
-        self.shared_llc = Cache(self.config.llc)
-        self.shared_dram = DRAMModel(self.config.dram)
 
     def run(
         self,
         traces: Sequence,
         max_instructions_per_core: int,
-        mode: str = "exact",
-        epoch_instructions: int = 0,
-        workers: int = 1,
     ) -> MultiCoreStats:
         """Simulate the mix; ``traces`` must contain one trace per core.
 
@@ -210,19 +157,15 @@ class MultiCoreSimulator:
         handles are replayed by re-opening, so an n-core mix over file
         traces runs in O(1) memory per core.
 
-        ``mode`` selects the schedule (see the module docstring):
-        ``"exact"`` interleaves access-by-access, ``"epoch"`` runs the
-        epoch-sharded schedule with ``epoch_instructions`` per epoch
-        (``0`` = :func:`default_epoch_instructions`) and core-epochs
-        dispatched over ``workers`` threads when ``workers > 1`` — results
-        are identical for any worker count.
+        Every call starts from a cold shared LLC and DRAM, so repeated runs
+        on one simulator equal runs on fresh ones.
         """
-        if mode not in MIX_MODES:
-            raise ValueError(f"unknown mix mode {mode!r}; expected one of {MIX_MODES}")
         if len(traces) != self.num_cores:
             raise ValueError(
                 f"expected {self.num_cores} traces, got {len(traces)}"
             )
+        shared_llc = Cache(self.config.llc)
+        shared_dram = DRAMModel(self.config.dram)
         contexts: List[_CoreContext] = []
         for core_id, trace in enumerate(traces):
             prefetcher = (
@@ -233,21 +176,14 @@ class MultiCoreSimulator:
                 config=self.config,
                 prefetcher=prefetcher,
                 trace=trace,
-                shared_llc=self.shared_llc,
-                shared_dram=self.shared_dram,
+                shared_llc=shared_llc,
+                shared_dram=shared_dram,
                 name=f"{self.name}.core{core_id}",
             )
             context.budget = max_instructions_per_core
             contexts.append(context)
 
-        if mode == "exact":
-            self._run_exact(contexts)
-        else:
-            if epoch_instructions <= 0:
-                epoch_instructions = default_epoch_instructions(
-                    max_instructions_per_core
-                )
-            self._run_epoch(contexts, epoch_instructions, workers)
+        self._run_exact(contexts)
 
         result = MultiCoreStats(
             name=self.name,
@@ -257,90 +193,14 @@ class MultiCoreSimulator:
             result.per_core[context.core_id] = context.finalize()
         return result
 
-    # ------------------------------------------------------------------ #
-    # Schedules
-    # ------------------------------------------------------------------ #
     def _run_exact(self, contexts: List[_CoreContext]) -> None:
-        """Round-robin access-by-access interleaving (the reference)."""
+        """Round-robin access-by-access interleaving."""
         while any(context.measuring for context in contexts):
             for context in contexts:
                 # Finished cores keep stepping to exert shared-resource
                 # pressure (their stats are gated), but only for as long as
                 # someone is still measuring.
                 context.step()
-
-    def _run_epoch(
-        self,
-        contexts: List[_CoreContext],
-        epoch_instructions: int,
-        workers: int,
-    ) -> None:
-        """The epoch-sharded schedule (see :mod:`repro.sim.sharding`)."""
-        master_llc = self.shared_llc
-        master_dram = self.shared_dram
-        num_cores = len(contexts)
-        pool = (
-            ThreadPoolExecutor(max_workers=min(workers, num_cores))
-            if workers > 1 and num_cores > 1
-            else None
-        )
-        # Previous-epoch DRAM logs and per-core cycle spans feed the ghost
-        # cross-traffic of the next epoch (empty for the first epoch).
-        previous_logs: List[List] = [[] for _ in range(num_cores)]
-        spans = [0] * num_cores
-        try:
-            epoch = 0
-            while any(context.measuring for context in contexts):
-                epoch += 1
-                target = epoch * epoch_instructions
-                shadows = []
-                cycle_starts = []
-                for context in contexts:
-                    # Copy-on-write LLC deltas instead of a full
-                    # Cache.clone per core per epoch: an epoch touches a
-                    # small fraction of a large LLC's sets, and the shadow
-                    # copies exactly those (see sharding.CowCacheShadow —
-                    # behaviourally indistinguishable from a clone).
-                    shadow_llc = RecordingCache(CowCacheShadow(master_llc))
-                    shadow_dram = RecordingDRAM(
-                        master_dram.clone(),
-                        ghosts=shifted_ghosts(
-                            previous_logs, spans, context.core_id
-                        ),
-                    )
-                    context.hierarchy.rebind_shared(shadow_llc, shadow_dram)
-                    shadows.append((shadow_llc, shadow_dram))
-                    cycle_starts.append(context.core.current_cycle)
-                if pool is not None:
-                    # Core-epochs share no mutable state, so mapping them
-                    # over threads is deterministic; list() propagates any
-                    # worker exception.
-                    list(
-                        pool.map(
-                            lambda context: context.run_until(target), contexts
-                        )
-                    )
-                else:
-                    for context in contexts:
-                        context.run_until(target)
-                # Reconciliation: replay the shared-resource logs onto the
-                # master state — LLC logs in ascending core-id order, DRAM
-                # requests merged across cores by issue cycle.
-                for shadow_llc, _shadow_dram in shadows:
-                    replay_llc_log(master_llc, shadow_llc.log)
-                replay_dram_logs(
-                    master_dram, [shadow_dram.log for _, shadow_dram in shadows]
-                )
-                for index, context in enumerate(contexts):
-                    previous_logs[index] = shadows[index][1].log
-                    spans[index] = max(
-                        1, context.core.current_cycle - cycle_starts[index]
-                    )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-            for context in contexts:
-                context.hierarchy.rebind_shared(master_llc, master_dram)
 
 
 def simulate_mix(
@@ -349,9 +209,6 @@ def simulate_mix(
     config: Optional[SystemConfig] = None,
     max_instructions_per_core: int = 50_000,
     name: str = "",
-    mode: str = "exact",
-    epoch_instructions: int = 0,
-    workers: int = 1,
 ) -> MultiCoreStats:
     """Convenience wrapper around :class:`MultiCoreSimulator`."""
     simulator = MultiCoreSimulator(
@@ -363,7 +220,4 @@ def simulate_mix(
     return simulator.run(
         traces,
         max_instructions_per_core=max_instructions_per_core,
-        mode=mode,
-        epoch_instructions=epoch_instructions,
-        workers=workers,
     )

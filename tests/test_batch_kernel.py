@@ -6,8 +6,7 @@ every statistic.  These tests pin the boundary conditions the chunked fast
 path has to get right — forced fallback mid-chunk, an MSHR fill becoming
 ready inside a would-be run, budget exhaustion inside a run, warm-up
 boundaries landing mid-run — plus streamed-vs-materialized-vs-batched
-equality over every registered prefetcher, and the copy-on-write LLC shadow
-against the full-clone behaviour it replaced.
+equality over every registered prefetcher.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.prefetchers.base import Prefetcher
 from repro.sim.batch import BatchedTrace, decode_trace
 from repro.sim.cache import Cache, MSHRFile
 from repro.sim.config import CacheConfig, default_system_config
-from repro.sim.sharding import CowCacheShadow
 from repro.sim.simulator import BATCH_MODES, SingleCoreSimulator, simulate_trace
 from repro.sim.types import (
     AccessType,
@@ -403,70 +401,3 @@ class TestBatchedPrimitives:
         mshr.allocate(5, ready_cycle=100, is_prefetch=True)
         assert list(mshr.expire(10)) == []
         assert [e.block for e in mshr.expire(100)] == [5]
-
-
-# --------------------------------------------------------------------------- #
-# Copy-on-write LLC shadow vs full clone
-# --------------------------------------------------------------------------- #
-class TestCowCacheShadow:
-    def _master(self):
-        master = Cache(_cache_config(sets=64, ways=4, latency=30))
-        for block in range(0, 300, 3):
-            master.fill(block, prefetched=(block % 9 == 0),
-                        from_dram=(block % 2 == 0))
-        return master
-
-    def _op_sequence(self):
-        ops = []
-        for i in range(600):
-            block = (i * 37) % 400
-            kind = i % 4
-            if kind == 0:
-                ops.append(("probe", block))
-            elif kind == 1:
-                ops.append(("fill", block, i % 5 == 0, i % 3 == 0))
-            elif kind == 2:
-                ops.append(("lookup", block, i % 2 == 0))
-            else:
-                ops.append(("contains", block))
-        return ops
-
-    @staticmethod
-    def _apply(target, op):
-        if op[0] == "probe":
-            entry = target.probe(op[1])
-        elif op[0] == "fill":
-            entry = target.fill(op[1], prefetched=op[2], from_dram=op[3])
-        elif op[0] == "lookup":
-            entry = target.lookup(op[1], update_lru=op[2])
-        else:
-            return target.contains(op[1])
-        if entry is None:
-            return None
-        return (entry.block, entry.prefetched, entry.prefetch_useful,
-                entry.from_dram, entry.dirty, entry.useful_counted)
-
-    def test_shadow_behaves_exactly_like_a_clone(self):
-        master = self._master()
-        reference_state = {
-            index: list(s.items()) for index, s in enumerate(master._sets)
-        }
-        clone = master.clone()
-        shadow = CowCacheShadow(master)
-        for op in self._op_sequence():
-            assert self._apply(clone, op) == self._apply(shadow, op), op
-        assert (clone.hits, clone.misses, clone.evictions) == (
-            shadow.hits, shadow.misses, shadow.evictions
-        )
-        # The master was never touched: contents, recency order and flags
-        # are exactly as before the epoch.
-        for index, cache_set in enumerate(master._sets):
-            assert list(cache_set.items()) == reference_state[index]
-
-    def test_shadow_copies_only_touched_sets(self):
-        master = self._master()
-        shadow = CowCacheShadow(master)
-        shadow.probe(0)       # hit: copies set 0
-        shadow.contains(1)    # read-only: copies nothing
-        shadow.probe(100_003)  # miss in an uncopied set: copies nothing
-        assert set(shadow._sets) == {0}

@@ -35,7 +35,7 @@ class TestBenchSuiteDefinition:
             + len(scalar)
         )
         assert len(scalar) == 3
-        assert {c.mode for c in mixes} == {"exact", "epoch"}
+        assert len(mixes) == 1
         assert len(streams) == 2
         assert {c.generator for c in streams} == {
             "streaming", bench.TEMPORAL_BENCH_TRACE[0],
@@ -54,6 +54,12 @@ class TestBenchSuiteDefinition:
         # The quick lane must exercise the multi-core and streamed paths.
         assert any(c.kind == "mix" for c in quick)
         assert any(c.kind == "stream" for c in quick)
+
+    def test_mix_case_key_is_stable(self):
+        # The mix key must stay byte-identical to BENCH_5's, or --check
+        # silently stops comparing the mix case.
+        case = bench.BenchCase("mix", "hetero", 0, "gaze")
+        assert case.key(40_000) == "mix4-hetero-L40000-exact/gaze"
 
     def test_kernel_case_keys_are_stable(self):
         # Kernel keys must stay byte-identical to v1 snapshots (BENCH_0)
@@ -107,7 +113,8 @@ class TestBenchFiles:
     def test_committed_trajectory_is_valid(self):
         # The repository commits its own trajectory; the latest snapshot
         # must carry the *current* full suite at the standard trace length
-        # (earlier snapshots may predate newer case kinds).
+        # (earlier snapshots may predate newer case kinds) plus, at most,
+        # cases retired since it was taken.
         from pathlib import Path
 
         repo_root = Path(__file__).resolve().parent.parent
@@ -119,7 +126,8 @@ class TestBenchFiles:
             case.key(bench.BENCH_TRACE_LENGTH)
             for case in bench.bench_cases(quick=False)
         }
-        assert set(latest["cases"]) == expected_keys
+        retired = {"mix4-hetero-L40000-epoch/gaze"}
+        assert set(latest["cases"]) - retired == expected_keys
         # Kernel keys are stable across schema versions: every kernel case
         # of the first snapshot must still be part of the current suite.
         first = bench.load_bench_file(files[0])

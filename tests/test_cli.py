@@ -116,13 +116,11 @@ class TestRunCommand:
 
         monkeypatch.setitem(cli._RUNNER_FIGURES, "fig15", stub)
         code = main(["run", "--figure", "fig15", "--jobs", "2",
-                     "--cache-dir", str(tmp_path), "--mix-mode", "epoch",
-                     "--epoch-instructions", "1000", "--trace-length", "2000"])
+                     "--cache-dir", str(tmp_path), "--trace-length", "2000"])
         captured = capsys.readouterr()
         assert code == 0
-        assert seen["mode"] == "epoch"
-        assert seen["epoch_instructions"] == 1000
         assert seen["trace_length"] == 2000
+        assert "mode" not in seen  # mixes have one schedule, no knob
         assert seen["runner"].engine.executor.jobs == 2
         assert "simulated" in captured.out  # engine summary is printed
 

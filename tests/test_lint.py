@@ -318,6 +318,13 @@ class TestR2TwinConstants:
 # R3 — hot-path hygiene
 # --------------------------------------------------------------------------- #
 class TestR3Hygiene:
+    def test_hot_modules_exist(self):
+        # A deleted module must not leave a dead entry behind.
+        from repro.analysis.lint.rule_hygiene import HOT_MODULES
+
+        missing = sorted(p for p in HOT_MODULES if not (REPO_ROOT / p).is_file())
+        assert missing == []
+
     def test_unslotted_class_in_hot_module(self, tmp_path):
         _write(tmp_path, "src/repro/sim/cache.py",
             """\

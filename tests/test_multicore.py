@@ -1,6 +1,6 @@
-"""Multi-core driver tests: stat gating, epoch sharding and mix jobs.
+"""Multi-core driver tests: stat gating, goldens and mix jobs.
 
-Covers the acceptance properties of the sharded multi-core subsystem:
+Covers the acceptance properties of the multi-core subsystem:
 
 * **Stat gating** — a core that exhausts its instruction budget keeps
   replaying its trace (shared-resource pressure) but stops accumulating
@@ -9,14 +9,10 @@ Covers the acceptance properties of the sharded multi-core subsystem:
 * **Golden counters** — per-core counter snapshots of the exact schedule
   on fixed mixes (``tests/goldens/multicore.json``), refreshed like the
   single-core goldens with ``REFRESH_GOLDENS=1``.
-* **Epoch-sharded validation** — the epoch schedule executes the identical
-  per-core instruction/access stream (bit-identical where the schedule
-  permits: single-core mixes, any worker count) and its per-core IPC stays
-  within the documented error bound of the exact interleaving on golden
-  mixes; speedup aggregates stay within a tighter bound.
+* **Re-entrancy** — every ``run`` starts from a cold shared LLC and DRAM.
 * **Engine integration** — mix jobs are content-keyed (trace tuples,
-  schedule parameters), sharded across worker processes bit-identically,
-  and answered from the persistent cache on warm re-runs.
+  budgets), sharded across worker processes bit-identically, and answered
+  from the persistent cache on warm re-runs.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from repro.experiments.executors import ParallelExecutor, SerialExecutor
 from repro.experiments.jobs import MixSimulationJob, execute_job
 from repro.prefetchers.registry import create_prefetcher
 from repro.sim import default_system_config, simulate_mix
-from repro.sim.multicore import MIX_MODES, default_epoch_instructions
+from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.stats import MultiCoreStats
 from repro.sim.types import MemoryAccess
 from repro.workloads.trace import TraceSpec
@@ -42,14 +38,8 @@ GOLDEN_PATH = Path(__file__).parent / "goldens" / "multicore.json"
 
 _REFRESH = os.environ.get("REFRESH_GOLDENS", "") not in ("", "0")
 
-#: Documented epoch-vs-exact error bounds (see README "Architecture &
-#: performance"): per-core IPC within 30% relative, mix-level geomean
-#: speedup within 0.10 absolute, on the golden mixes below.
-EPOCH_IPC_RELATIVE_BOUND = 0.30
-EPOCH_SPEEDUP_ABSOLUTE_BOUND = 0.10
-
 #: The golden mixes: fixed generator tuples, short on purpose (drift
-#: detection plus epoch-validation substrate, not statistical fidelity).
+#: detection, not statistical fidelity).
 GOLDEN_MIXES = {
     "mix2-spatial-streaming": {
         "traces": (("spatial", 3), ("streaming", 2)),
@@ -83,7 +73,7 @@ def _traces(mix_key):
     return [spec.build(length=definition["length"]) for spec in _specs(mix_key)]
 
 
-def _run_mix(mix_key, prefetcher="gaze", **kwargs):
+def _run_mix(mix_key, prefetcher="gaze"):
     definition = GOLDEN_MIXES[mix_key]
     traces = _traces(mix_key)
     factory = (lambda: create_prefetcher(prefetcher)) if prefetcher else None
@@ -93,7 +83,6 @@ def _run_mix(mix_key, prefetcher="gaze", **kwargs):
         default_system_config(len(traces)),
         definition["budget"],
         name=mix_key,
-        **kwargs,
     )
 
 
@@ -222,88 +211,36 @@ def test_multicore_golden_stats(mix_key, prefetcher):
 
 
 # --------------------------------------------------------------------------- #
-# Epoch-sharded schedule vs exact interleaving
+# Re-entrancy
 # --------------------------------------------------------------------------- #
-class TestEpochShardedValidation:
-    @pytest.mark.parametrize("mix_key", sorted(GOLDEN_MIXES))
-    def test_epoch_mode_measures_identical_instruction_stream(self, mix_key):
-        exact = _run_mix(mix_key)
-        epoch = _run_mix(mix_key, mode="epoch")
-        assert sorted(epoch.per_core) == sorted(exact.per_core)
-        for core_id in exact.per_core:
-            assert (
-                epoch.per_core[core_id].instructions
-                == exact.per_core[core_id].instructions
-            )
-            assert (
-                epoch.per_core[core_id].demand_accesses
-                == exact.per_core[core_id].demand_accesses
-            )
+def test_repeated_run_starts_cold():
+    # The shared LLC and DRAM belong to one run: a second run on the same
+    # simulator must not inherit the first run's warm shared state.
+    mix_key = "mix2-spatial-streaming"
+    budget = GOLDEN_MIXES[mix_key]["budget"]
+    traces = _traces(mix_key)
 
-    @pytest.mark.parametrize("mix_key", sorted(GOLDEN_MIXES))
-    def test_epoch_mode_per_core_ipc_within_documented_bound(self, mix_key):
-        exact = _run_mix(mix_key)
-        epoch = _run_mix(mix_key, mode="epoch")
-        for core_id in exact.per_core:
-            reference = exact.per_core[core_id].ipc
-            approximate = epoch.per_core[core_id].ipc
-            assert abs(approximate - reference) / reference <= (
-                EPOCH_IPC_RELATIVE_BOUND
-            ), f"core {core_id}: {approximate} vs {reference}"
-
-    @pytest.mark.parametrize("mix_key", sorted(GOLDEN_MIXES))
-    def test_epoch_mode_speedup_within_documented_bound(self, mix_key):
-        exact_speedup = _run_mix(mix_key).geomean_speedup(
-            _run_mix(mix_key, prefetcher=None)
+    def simulator():
+        return MultiCoreSimulator(
+            num_cores=len(traces),
+            prefetcher_factory=lambda: create_prefetcher("gaze"),
+            config=default_system_config(len(traces)),
+            name=mix_key,
         )
-        epoch_speedup = _run_mix(mix_key, mode="epoch").geomean_speedup(
-            _run_mix(mix_key, prefetcher=None, mode="epoch")
-        )
-        assert abs(epoch_speedup - exact_speedup) <= EPOCH_SPEEDUP_ABSOLUTE_BOUND
 
-    def test_single_core_mix_is_bit_identical(self):
-        # With one core there is no cross-core traffic to approximate, so
-        # the epoch boundary permits bit-identical results at any epoch
-        # length ("bit-identical where the epoch boundary permits").
-        trace = _traces("mix2-spatial-streaming")[:1]
-        config = default_system_config(1)
-        exact = simulate_mix(
-            trace, lambda: create_prefetcher("gaze"), config, 5_000, name="one"
-        )
-        for epoch_instructions in (0, 333, 700):
-            epoch = simulate_mix(
-                trace,
-                lambda: create_prefetcher("gaze"),
-                config,
-                5_000,
-                name="one",
-                mode="epoch",
-                epoch_instructions=epoch_instructions,
-            )
-            assert epoch.to_dict() == exact.to_dict()
-
-    def test_worker_count_does_not_change_results(self):
-        serial = _run_mix("mix4-hetero", mode="epoch")
-        for workers in (2, 4):
-            threaded = _run_mix("mix4-hetero", mode="epoch", workers=workers)
-            assert threaded.to_dict() == serial.to_dict()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            _run_mix("mix2-spatial-streaming", mode="bogus")
-        assert "exact" in MIX_MODES and "epoch" in MIX_MODES
-
-    def test_default_epoch_length(self):
-        assert default_epoch_instructions(9_000) == 1_125
-        assert default_epoch_instructions(100) == 500
+    fresh = simulator().run(traces, budget)
+    reused = simulator()
+    first = reused.run(traces, budget)
+    second = reused.run(traces, budget)
+    assert first.to_dict() == fresh.to_dict()
+    assert second.to_dict() == fresh.to_dict()
 
 
 # --------------------------------------------------------------------------- #
 # Streamed TraceFile mixes
 # --------------------------------------------------------------------------- #
 class TestStreamedMixes:
-    @pytest.mark.parametrize("mode", sorted(MIX_MODES))
-    def test_streamed_handles_equal_materialized(self, mode, tmp_path):
+    def test_streamed_handles_equal_materialized(self, tmp_path):
         from repro.workloads import formats as trace_formats
 
         materialized = _traces("mix2-spatial-streaming")
@@ -314,12 +251,8 @@ class TestStreamedMixes:
             handles.append(trace_formats.TraceFile(str(path)))
         factory = lambda: create_prefetcher("gaze")  # noqa: E731
         config = default_system_config(2)
-        from_lists = simulate_mix(
-            materialized, factory, config, 4_000, name="m", mode=mode
-        )
-        from_files = simulate_mix(
-            handles, factory, config, 4_000, name="m", mode=mode
-        )
+        from_lists = simulate_mix(materialized, factory, config, 4_000, name="m")
+        from_files = simulate_mix(handles, factory, config, 4_000, name="m")
         assert from_files.to_dict() == from_lists.to_dict()
 
 
@@ -344,16 +277,7 @@ class TestMixJobs:
         reordered = _mix_job(specs=tuple(reversed(_specs("mix2-spatial-streaming"))))
         assert base.key() != reordered.key()
         assert base.key() != _mix_job(prefetcher="pmp").key()
-        assert base.key() != _mix_job(mode="epoch").key()
-        assert base.key() != _mix_job(mode="epoch", epoch_instructions=123).key(
-        ), "epoch length affects results and must affect the key"
         assert base.key() != _mix_job(max_instructions_per_core=5_000).key()
-
-    def test_workers_do_not_affect_key_or_results(self):
-        assert _mix_job().key() == _mix_job(workers=8).key()
-        serial = execute_job(_mix_job(mode="epoch"))
-        threaded = execute_job(_mix_job(mode="epoch", workers=4))
-        assert serial.to_dict() == threaded.to_dict()
 
     def test_empty_mix_rejected(self):
         with pytest.raises(ValueError):
