@@ -1936,6 +1936,18 @@ static PyTypeObject TriangelKernelType = {
  * of a run, and exports the cache/DRAM/MSHR state back only when it is
  * read.
  *
+ * The per-access body is one inlined drv_step shared by the single-core
+ * run() loop (which adds the hit-run fast path) and run_mix(), the
+ * round-robin N-core loop of MultiCoreSimulator._run_exact.  Each kernel
+ * is one core: private L1/L2, MSHR, PQ, core clock, prefetcher and stat
+ * deltas (its LLC and DRAM counters included).  The LLC tags/flags and
+ * the DRAM bank/row/channel state sit in a reference-counted DrvShared
+ * that a kernel built with shared=<kernel> borrows, so the cores of a
+ * mix contend for one LLC and one DRAM.  run_mix() returns whenever a
+ * measuring core reaches its budget; Python closes that core's
+ * measurement (sync, drain, sink swap) and resumes from the next core,
+ * so the C side keeps no second stats path.
+ *
  * Prefetchers without a C train twin run as DRV_PF_PYTHON: the loop
  * calls the Python train(pc, address, cycle, result) bound method once
  * per load — result is one of five reused AccessResult objects, mutated
@@ -1976,8 +1988,14 @@ typedef struct {
     long long *tag;      /* sets * ways block numbers                  */
     unsigned char *flag; /* parallel CB_* flag bytes                   */
     int *size;           /* live entries per set                       */
-    long long hits, misses, evictions, useless;
 } DCache;
+
+/* One core's counter deltas for one cache level (Cache.hits / misses /
+ * evictions / useless_prefetch_evictions).  Kept per core even for the
+ * shared LLC, so each core drains its own share onto the shared object. */
+typedef struct {
+    long long hits, misses, evictions, useless;
+} DCount;
 
 typedef struct {
     long long *tag;
@@ -1992,7 +2010,6 @@ dc_init(DCache *c, int sets, int ways)
     c->sets = sets;
     c->ways = ways;
     c->mask = (long long)sets - 1;
-    c->hits = c->misses = c->evictions = c->useless = 0;
     c->tag = PyMem_Malloc(sizeof(long long) * (size_t)sets * (size_t)ways);
     c->flag = PyMem_Malloc(sizeof(unsigned char) * (size_t)sets * (size_t)ways);
     c->size = PyMem_Malloc(sizeof(int) * (size_t)sets);
@@ -2056,10 +2073,78 @@ dc_contains(DCache *c, long long block)
     return dcrow_find(&r, block) >= 0;
 }
 
+/* The state a multi-core mix shares: LLC tags/flags and DRAM
+ * bank/row/channel timing.  Reference-counted: the kernel that creates
+ * it holds one reference and every kernel built with shared=<kernel>
+ * borrows another, so it lives until the last of them is freed. */
+typedef struct {
+    Py_ssize_t refs;
+    DCache llc;
+    /* DRAM (dr_banks = banks per channel)                             */
+    int dr_channels, dr_banks;
+    long long dr_row_div, dr_lat_row_hit, dr_lat_row_miss;
+    double dr_transfer;
+    long long *dr_open_row;   /* per global bank, -1 == closed         */
+    double *dr_bank_busy;     /* per global bank                       */
+    double *dr_channel_busy;  /* per channel                           */
+} DrvShared;
+
+static void
+drv_shared_release(DrvShared *s)
+{
+    if (s == NULL || --s->refs > 0)
+        return;
+    dc_free(&s->llc);
+    PyMem_Free(s->dr_open_row);
+    PyMem_Free(s->dr_bank_busy);
+    PyMem_Free(s->dr_channel_busy);
+    PyMem_Free(s);
+}
+
+/* A fresh shared state (cold LLC, closed rows, idle banks), or NULL
+ * with MemoryError set. */
+static DrvShared *
+drv_shared_new(int llc_sets, int llc_ways, int channels, int banks,
+               long long row_div, long long row_hit, long long row_miss,
+               double transfer)
+{
+    DrvShared *s = PyMem_Calloc(1, sizeof(DrvShared));
+    if (s == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    s->refs = 1;
+    s->dr_channels = channels;
+    s->dr_banks = banks;
+    s->dr_row_div = row_div;
+    s->dr_lat_row_hit = row_hit;
+    s->dr_lat_row_miss = row_miss;
+    s->dr_transfer = transfer;
+    size_t total_banks = (size_t)channels * (size_t)banks;
+    s->dr_open_row = PyMem_Malloc(sizeof(long long) * total_banks);
+    s->dr_bank_busy = PyMem_Malloc(sizeof(double) * total_banks);
+    s->dr_channel_busy = PyMem_Malloc(sizeof(double) * (size_t)channels);
+    if (dc_init(&s->llc, llc_sets, llc_ways) < 0 || !s->dr_open_row
+        || !s->dr_bank_busy || !s->dr_channel_busy) {
+        drv_shared_release(s);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (size_t b = 0; b < total_banks; b++) {
+        s->dr_open_row[b] = -1;
+        s->dr_bank_busy[b] = 0.0;
+    }
+    for (int c = 0; c < channels; c++)
+        s->dr_channel_busy[c] = 0.0;
+    return s;
+}
+
 typedef struct {
     PyObject_HEAD
-    /* hierarchy */
-    DCache l1, l2, llc;
+    /* private hierarchy; the LLC and DRAM live in *sh                 */
+    DCache l1, l2;
+    DrvShared *sh;
+    DCount n1, n2, n3;        /* L1, L2 and this core's LLC counters   */
     long long lat_l1, lat_l2, lat_llc, lat_l2_source, lat_llc_source;
     /* L1 MSHR: insertion-ordered parallel arrays                      */
     int mshr_cap, mshr_n;
@@ -2070,13 +2155,6 @@ typedef struct {
     /* prefetch queue: ring of packed ints (block << 1 | to_l1)        */
     int pq_cap, pq_head, pq_n, pq_drain;
     long long *pq;
-    /* DRAM (dr_banks = banks per channel)                             */
-    int dr_channels, dr_banks;
-    long long dr_row_div, dr_lat_row_hit, dr_lat_row_miss;
-    double dr_transfer;
-    long long *dr_open_row;   /* per global bank, -1 == closed         */
-    double *dr_bank_busy;     /* per global bank                       */
-    double *dr_channel_busy;  /* per channel                           */
     /* core */
     int width;
     double fetch_inc;
@@ -2112,6 +2190,7 @@ typedef struct {
     long long st_pf_useful_l1, st_pf_useful_l2, st_pf_useless, st_pf_late;
     long long st_pf_covered;
     long long st_pq_enq, st_pq_drop;
+    /* this core's DRAM traffic counters (DRAMModel.stats deltas)      */
     long long dr_requests, dr_demand, dr_prefetch;
     long long dr_row_hits, dr_row_misses, dr_queue_wait, dr_service;
 } DriverKernel;
@@ -2131,21 +2210,22 @@ drv_py_evict(DriverKernel *d, long long block)
     Py_XDECREF(r);
 }
 
-/* Fill `block` into level `c` (guaranteed absent).  Replicates
- * Cache.fill_absent: victim accounting, the per-level eviction
- * listeners (_count_useless_eviction on L1/L2 only, the prefetcher
- * eviction callback on L1 only), then MRU insertion. */
+/* Fill `block` into `level` (1 = L1, 2 = L2, 3 = LLC; guaranteed
+ * absent).  Replicates Cache.fill_absent: victim accounting, the
+ * per-level eviction listeners (_count_useless_eviction on L1/L2 only,
+ * the prefetcher eviction callback on L1 only), then MRU insertion. */
 static void
-drv_fill(DriverKernel *d, DCache *c, long long block,
-         unsigned char flags, int level)
+drv_fill(DriverKernel *d, int level, long long block, unsigned char flags)
 {
+    DCache *c = level == 1 ? &d->l1 : level == 2 ? &d->l2 : &d->sh->llc;
+    DCount *n = level == 1 ? &d->n1 : level == 2 ? &d->n2 : &d->n3;
     DCRow r = dc_row(c, block);
     if (r.n >= c->ways) {
         long long vtag = r.tag[0];
         unsigned char vf = r.flg[0];
-        c->evictions++;
+        n->evictions++;
         if ((vf & CB_PREFETCHED) && !(vf & CB_USEFUL)) {
-            c->useless++;
+            n->useless++;
             if (level < 3)
                 d->st_pf_useless++;
         }
@@ -2174,29 +2254,30 @@ drv_fill(DriverKernel *d, DCache *c, long long block,
 static double
 drv_dram(DriverKernel *d, long long block, long long cyc, int is_prefetch)
 {
-    long long channel = block % d->dr_channels;
+    DrvShared *s = d->sh;
+    long long channel = block % s->dr_channels;
     long long bank =
-        channel * d->dr_banks + (block / d->dr_channels) % d->dr_banks;
-    long long row = block / d->dr_row_div;
+        channel * s->dr_banks + (block / s->dr_channels) % s->dr_banks;
+    long long row = block / s->dr_row_div;
     long long array_latency;
-    if (d->dr_open_row[bank] == row) {
-        array_latency = d->dr_lat_row_hit;
+    if (s->dr_open_row[bank] == row) {
+        array_latency = s->dr_lat_row_hit;
         d->dr_row_hits++;
     } else {
-        array_latency = d->dr_lat_row_miss;
+        array_latency = s->dr_lat_row_miss;
         d->dr_row_misses++;
-        d->dr_open_row[bank] = row;
+        s->dr_open_row[bank] = row;
     }
-    double bank_wait = d->dr_bank_busy[bank] - (double)cyc;
+    double bank_wait = s->dr_bank_busy[bank] - (double)cyc;
     if (bank_wait < 0.0)
         bank_wait = 0.0;
     double array_done = ((double)cyc + bank_wait) + (double)array_latency;
-    d->dr_bank_busy[bank] = array_done;
-    double bus_start = d->dr_channel_busy[channel];
+    s->dr_bank_busy[bank] = array_done;
+    double bus_start = s->dr_channel_busy[channel];
     if (array_done > bus_start)
         bus_start = array_done;
-    double bus_done = bus_start + d->dr_transfer;
-    d->dr_channel_busy[channel] = bus_done;
+    double bus_done = bus_start + s->dr_transfer;
+    s->dr_channel_busy[channel] = bus_done;
     double bus_wait = bus_start - array_done;
     d->dr_requests++;
     if (is_prefetch)
@@ -2205,7 +2286,7 @@ drv_dram(DriverKernel *d, long long block, long long cyc, int is_prefetch)
         d->dr_demand++;
     d->dr_queue_wait +=
         (long long)(bank_wait + (bus_wait > 0.0 ? bus_wait : 0.0));
-    d->dr_service += (long long)((double)array_latency + d->dr_transfer);
+    d->dr_service += (long long)((double)array_latency + s->dr_transfer);
     return bus_done;
 }
 
@@ -2366,7 +2447,7 @@ drv_mshr_complete(DriverKernel *d, long long cycle)
             unsigned char fl = CB_PREFETCHED;
             if (d->mshr_dram[i])
                 fl |= CB_FROM_DRAM;
-            drv_fill(d, &d->l1, d->mshr_block[i], fl, 1);
+            drv_fill(d, 1, d->mshr_block[i], fl);
             continue;
         }
         d->mshr_block[k] = d->mshr_block[i];
@@ -2389,14 +2470,14 @@ static long long
 drv_demand_miss(DriverKernel *d, long long block, long long issue_cycle,
                 int is_store, int *served_by, int *first_use)
 {
-    d->l1.misses++;
+    d->n1.misses++;
     d->st_l1_misses++;
     DCRow r2 = dc_row(&d->l2, block);
     int p2 = dcrow_find(&r2, block);
     if (p2 >= 0) {
         unsigned char f = r2.flg[p2];
         dcrow_touch(&r2, p2);
-        d->l2.hits++;
+        d->n2.hits++;
         *served_by = RES_L2;
         *first_use = 0;
         if (f & CB_PREFETCHED) {
@@ -2411,22 +2492,21 @@ drv_demand_miss(DriverKernel *d, long long block, long long issue_cycle,
             }
         }
         r2.flg[r2.n - 1] = f;
-        drv_fill(d, &d->l1, block,
-                 (unsigned char)(is_store ? CB_DIRTY : 0), 1);
+        drv_fill(d, 1, block, (unsigned char)(is_store ? CB_DIRTY : 0));
         d->st_l2_hits++;
         d->st_latency += d->lat_l2;
         return d->lat_l2;
     }
-    d->l2.misses++;
+    d->n2.misses++;
     d->st_l2_misses++;
     long long latency;
     unsigned char from_dram = 0;
-    DCRow r3 = dc_row(&d->llc, block);
+    DCRow r3 = dc_row(&d->sh->llc, block);
     int p3 = dcrow_find(&r3, block);
     if (p3 >= 0) {
         unsigned char f = r3.flg[p3];
         dcrow_touch(&r3, p3);
-        d->llc.hits++;
+        d->n3.hits++;
         if ((f & CB_PREFETCHED) && !(f & CB_USEFUL))
             f |= CB_USEFUL;
         r3.flg[r3.n - 1] = f;
@@ -2434,19 +2514,19 @@ drv_demand_miss(DriverKernel *d, long long block, long long issue_cycle,
         d->st_llc_hits++;
         *served_by = RES_LLC;
     } else {
-        d->llc.misses++;
+        d->n3.misses++;
         d->st_llc_misses++;
         double bus_done = drv_dram(d, block, issue_cycle, 0);
         latency = d->lat_llc
                   + (long long)nearbyint(bus_done - (double)issue_cycle);
         d->st_dram_reads++;
         from_dram = CB_FROM_DRAM;
-        drv_fill(d, &d->llc, block, CB_FROM_DRAM, 3);
+        drv_fill(d, 3, block, CB_FROM_DRAM);
         *served_by = RES_DRAM;
     }
-    drv_fill(d, &d->l2, block, from_dram, 2);
-    drv_fill(d, &d->l1, block,
-             (unsigned char)(from_dram | (is_store ? CB_DIRTY : 0)), 1);
+    drv_fill(d, 2, block, from_dram);
+    drv_fill(d, 1, block,
+             (unsigned char)(from_dram | (is_store ? CB_DIRTY : 0)));
     d->st_latency += latency;
     return latency;
 }
@@ -2476,7 +2556,7 @@ drv_issue_prefetch(DriverKernel *d, long long p, long long cycle)
         source_latency = d->lat_l2_source;
         dcrow_touch(&r2, p2);
     } else {
-        DCRow r3 = dc_row(&d->llc, pblock);
+        DCRow r3 = dc_row(&d->sh->llc, pblock);
         int p3 = dcrow_find(&r3, pblock);
         if (p3 >= 0) {
             dcrow_touch(&r3, p3);
@@ -2486,7 +2566,7 @@ drv_issue_prefetch(DriverKernel *d, long long p, long long cycle)
             source_latency = d->lat_llc_source
                              + (long long)nearbyint(bus_done - (double)cycle);
             from_dram = CB_FROM_DRAM;
-            drv_fill(d, &d->llc, pblock, CB_FROM_DRAM, 3);
+            drv_fill(d, 3, pblock, CB_FROM_DRAM);
         }
     }
     if (to_l1) {
@@ -2496,8 +2576,8 @@ drv_issue_prefetch(DriverKernel *d, long long p, long long cycle)
         if (d->mshr_n >= d->mshr_cap) {
             d->st_pf_drop_mshr++;
             if (!dc_contains(&d->l2, pblock)) {
-                drv_fill(d, &d->l2, pblock,
-                         (unsigned char)(CB_PREFETCHED | from_dram), 2);
+                drv_fill(d, 2, pblock,
+                         (unsigned char)(CB_PREFETCHED | from_dram));
                 d->st_pf_fill_l2++;
             }
             return;
@@ -2511,8 +2591,7 @@ drv_issue_prefetch(DriverKernel *d, long long p, long long cycle)
             d->mshr_min_ready = ready;
         d->st_pf_fill_l1++;
     } else if (!dc_contains(&d->l2, pblock)) {
-        drv_fill(d, &d->l2, pblock,
-                 (unsigned char)(CB_PREFETCHED | from_dram), 2);
+        drv_fill(d, 2, pblock, (unsigned char)(CB_PREFETCHED | from_dram));
         d->st_pf_fill_l2++;
     } else {
         d->st_pf_redundant++;
@@ -2702,12 +2781,12 @@ dc_check(const DCache *c, const char *where)
     return 0;
 }
 
+/* Everything one core owns: its L1/L2, MSHR, PQ, core ring and stat
+ * deltas, and its train twin's tables. */
 static int
-drv_check(DriverKernel *d)
+drv_check_core(DriverKernel *d)
 {
-    if (dc_check(&d->l1, "L1") < 0 ||
-        dc_check(&d->l2, "L2") < 0 ||
-        dc_check(&d->llc, "LLC") < 0)
+    if (dc_check(&d->l1, "L1") < 0 || dc_check(&d->l2, "L2") < 0)
         return -1;
 
     /* MSHR occupancy accounting.  The cached minimum may run stale-LOW:
@@ -2761,35 +2840,26 @@ drv_check(DriverKernel *d)
         DK_CHECK(d->misses_min == mn, "core misses", "cached min inexact");
     }
 
-    /* Stat-delta conservation: demands flow down the hierarchy without
-     * loss, DRAM traffic partitions two ways, and the per-level cache
-     * counters agree with the drain deltas.  All of these hold between
-     * any two drain_stats() zeroings. */
+    /* Stat-delta conservation in the private levels: demands flow down
+     * to the LLC without loss and the L1/L2 cache counters agree with
+     * the drain deltas.  All of these hold between any two
+     * drain_stats() zeroings. */
     DK_CHECK(d->st_demand == d->st_l1_hits + d->st_l1_misses, "stats",
              "demand != L1 hits + misses");
     DK_CHECK(d->st_l1_misses == d->st_l2_hits + d->st_l2_misses, "stats",
              "L1 misses != L2 hits + misses");
     DK_CHECK(d->st_l2_misses == d->st_llc_hits + d->st_llc_misses, "stats",
              "L2 misses != LLC hits + misses");
-    DK_CHECK(d->st_llc_misses == d->st_dram_reads, "stats",
-             "LLC misses != DRAM reads");
-    DK_CHECK(d->dr_requests == d->dr_demand + d->dr_prefetch, "stats",
-             "DRAM requests != demand + prefetch");
-    DK_CHECK(d->dr_requests == d->dr_row_hits + d->dr_row_misses, "stats",
-             "DRAM requests != row hits + misses");
     DK_CHECK(d->st_pf_generated == d->st_pq_enq + d->st_pf_drop_q, "stats",
              "pf generated != enqueued + queue-dropped");
     DK_CHECK(d->st_pq_drop == d->st_pf_drop_q, "stats",
              "queue drop counters disagree");
-    DK_CHECK(d->l1.misses == d->st_l1_misses, "stats",
+    DK_CHECK(d->n1.misses == d->st_l1_misses, "stats",
              "L1 cache/delta miss counters disagree");
-    DK_CHECK(d->l1.hits == d->st_l1_hits - d->st_pf_late, "stats",
+    DK_CHECK(d->n1.hits == d->st_l1_hits - d->st_pf_late, "stats",
              "L1 cache hits != delta hits - late prefetches");
-    DK_CHECK(d->l2.hits == d->st_l2_hits && d->l2.misses == d->st_l2_misses,
+    DK_CHECK(d->n2.hits == d->st_l2_hits && d->n2.misses == d->st_l2_misses,
              "stats", "L2 cache/delta counters disagree");
-    DK_CHECK(d->llc.hits == d->st_llc_hits &&
-             d->llc.misses == d->st_llc_misses,
-             "stats", "LLC cache/delta counters disagree");
 
     /* The attached train twin's LRU tables. */
     switch (d->ptype) {
@@ -2825,6 +2895,50 @@ drv_check(DriverKernel *d)
         break;
     }
     return 0;
+}
+
+/* The state the `n` cores `ds` share: LLC occupancy, and the LLC and
+ * DRAM conservation identities as sums over those cores (each core's
+ * LLC and DRAM traffic lands in its own counters, drained with its
+ * own stats). */
+static int
+drv_check_shared(DriverKernel *const *ds, Py_ssize_t n)
+{
+    if (dc_check(&ds[0]->sh->llc, "LLC") < 0)
+        return -1;
+    long long llc_hits = 0, llc_misses = 0, st_llc_hits = 0;
+    long long st_llc_misses = 0, st_dram_reads = 0;
+    long long requests = 0, demand = 0, prefetch = 0, rows = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        const DriverKernel *d = ds[k];
+        DK_CHECK(d->sh == ds[0]->sh, "shared", "cores do not share state");
+        llc_hits += d->n3.hits;
+        llc_misses += d->n3.misses;
+        st_llc_hits += d->st_llc_hits;
+        st_llc_misses += d->st_llc_misses;
+        st_dram_reads += d->st_dram_reads;
+        requests += d->dr_requests;
+        demand += d->dr_demand;
+        prefetch += d->dr_prefetch;
+        rows += d->dr_row_hits + d->dr_row_misses;
+    }
+    DK_CHECK(st_llc_misses == st_dram_reads, "stats",
+             "LLC misses != DRAM reads");
+    DK_CHECK(demand == st_dram_reads, "stats",
+             "DRAM demand requests != DRAM reads");
+    DK_CHECK(requests == demand + prefetch, "stats",
+             "DRAM requests != demand + prefetch");
+    DK_CHECK(requests == rows, "stats",
+             "DRAM requests != row hits + misses");
+    DK_CHECK(llc_hits == st_llc_hits && llc_misses == st_llc_misses,
+             "stats", "LLC cache/delta counters disagree");
+    return 0;
+}
+
+static int
+drv_check(DriverKernel *d)
+{
+    return drv_check_core(d) < 0 ? -1 : drv_check_shared(&d, 1);
 }
 
 /* Sweep call for PyObject*-returning entry points; compiles away
@@ -2931,6 +3045,117 @@ drv_load_trace(DriverKernel *d, PyObject *addresses, PyObject *pcs,
     return 0;
 }
 
+/* One access on the per-access path, the body shared by Driver_run and
+ * the N-core run_mix (the twin of _CoreContext.step and of the
+ * per-access branch of _execute_batched): the preceding gap and the
+ * core clock, the packed PQ drain, the inlined demand chain and the
+ * prefetcher's training.  Returns the instructions retired (gap + 1).
+ * A raising Python callback leaves d->cb_failed set. */
+static inline long long
+drv_step(DriverKernel *d, long long address, long long pc, long long block,
+         long long gap, int kind)
+{
+    long long lat_l1 = d->lat_l1;
+    drv_begin(d, gap);
+    long long issue_cycle = (long long)d->issue;
+    int is_store = kind == 1;
+
+    if (d->pq_n) {
+        /* Packed PQ drain (issue_queued_prefetches). */
+        int issued = 0;
+        while (d->pq_n && issued < d->pq_drain) {
+            long long p = d->pq[d->pq_head];
+            d->pq_head++;
+            if (d->pq_head >= d->pq_cap)
+                d->pq_head = 0;
+            d->pq_n--;
+            issued++;
+            drv_issue_prefetch(d, p, issue_cycle);
+        }
+    }
+
+    /* Inlined demand_access. */
+    d->st_demand++;
+    long long latency;
+    int served_by = RES_L1, first_use = 0;
+    int infl = -1;
+    if (d->mshr_n) {
+        if (issue_cycle >= d->mshr_min_ready)
+            drv_mshr_complete(d, issue_cycle);
+        infl = drv_mshr_find(d, block);
+    }
+    if (infl >= 0) {
+        /* Late prefetch: the block is in flight. */
+        long long remaining = d->mshr_ready[infl] - issue_cycle;
+        latency = remaining > lat_l1 ? remaining : lat_l1;
+        unsigned char fl = CB_PREFETCHED | CB_USEFUL;
+        if (d->mshr_dram[infl])
+            fl |= CB_FROM_DRAM;
+        if (is_store)
+            fl |= CB_DIRTY;
+        /* dict pop: no _min_ready recompute. */
+        memmove(d->mshr_block + infl, d->mshr_block + infl + 1,
+                sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
+        memmove(d->mshr_ready + infl, d->mshr_ready + infl + 1,
+                sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
+        memmove(d->mshr_dram + infl, d->mshr_dram + infl + 1,
+                sizeof(unsigned char) * (size_t)(d->mshr_n - 1 - infl));
+        d->mshr_n--;
+        drv_fill(d, 1, block, fl);
+        d->st_l1_hits++;
+        d->st_pf_useful_l1++;
+        d->st_pf_late++;
+        if (fl & CB_FROM_DRAM)
+            d->st_pf_covered++;
+        d->st_latency += latency;
+        served_by = RES_INFLIGHT;
+    } else {
+        DCRow r1 = dc_row(&d->l1, block);
+        int p1 = dcrow_find(&r1, block);
+        if (p1 >= 0) {
+            unsigned char f = r1.flg[p1];
+            dcrow_touch(&r1, p1);
+            d->n1.hits++;
+            if (f & CB_PREFETCHED) {
+                if (!(f & CB_USEFUL))
+                    f |= CB_USEFUL;
+                if (!(f & CB_COUNTED)) {
+                    f |= CB_COUNTED;
+                    first_use = 1;
+                    d->st_pf_useful_l1++;
+                    if (f & CB_FROM_DRAM)
+                        d->st_pf_covered++;
+                }
+            }
+            if (is_store)
+                f |= CB_DIRTY;
+            r1.flg[r1.n - 1] = f;
+            d->st_l1_hits++;
+            d->st_latency += lat_l1;
+            latency = lat_l1;
+        } else {
+            latency = drv_demand_miss(d, block, issue_cycle, is_store,
+                                      &served_by, &first_use);
+        }
+    }
+    drv_complete(d, latency);
+
+    if (kind == 0 && !d->cb_failed) {
+        if (d->ptype == DRV_PF_PYTHON) {
+            drv_py_train(d, pc, address, issue_cycle, latency, served_by,
+                         first_use);
+        } else {
+            const long long *buf = NULL;
+            int l1_hit = served_by == RES_L1 || served_by == RES_INFLIGHT;
+            int cnt = drv_train(d, pc, address, issue_cycle, latency, l1_hit,
+                                &buf);
+            if (cnt > 0)
+                drv_enqueue(d, buf, cnt);
+        }
+    }
+    return gap + 1;
+}
+
 /* run(addresses, pcs, blocks, gaps, kinds, index, budget, replays)
  * -> (index, replays, executed, yielded).  budget < 0 == unbounded
  * (one full pass of the trace). */
@@ -2967,16 +3192,14 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
 
     /* One loop, the twin of _execute_batched: without a prefetcher and
      * with the MSHR file and PQ empty, a resident block starts an L1-hit
-     * run retired whole; every other access drains the packed PQ, runs
-     * the inlined demand chain and trains the prefetcher in program
+     * run retired whole; every other access takes drv_step in program
      * order. */
     int hit_runs = d->ptype == DRV_PF_NONE;
     while (unbounded || executed < budget) {
         if (unbounded && replays > 0)
             break;
-        long long block = tr_block[index];
         if (hit_runs && !d->mshr_n && !d->pq_n
-            && dc_contains(&d->l1, block)) {
+            && dc_contains(&d->l1, tr_block[index])) {
             /* Cache.demand_hit_run + CoreTimingModel.advance_hit_run:
              * retire the pure-hit run starting here (it ends before the
              * first miss or block with prefetch provenance to account,
@@ -3007,7 +3230,7 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                     drv_begin(d, tr_gap[ri]);
                     drv_complete(d, lat_l1);
                 }
-                d->l1.hits += run;
+                d->n1.hits += run;
                 d->st_demand += run;
                 d->st_l1_hits += run;
                 d->st_latency += run * lat_l1;
@@ -3021,117 +3244,15 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
                 continue;
             }
         }
-        long long gap = tr_gap[index];
-        int kind = tr_kind[index];
-        long long address = tr_addr[index];
-        long long pc = tr_pc[index];
+        Py_ssize_t i = index;
         index++;
         if (index >= length) {
             index = 0;
             replays++;
         }
         yielded = 1;
-        drv_begin(d, gap);
-        long long issue_cycle = (long long)d->issue;
-        executed += gap + 1;
-        int is_store = kind == 1;
-
-        if (d->pq_n) {
-            /* Packed PQ drain (issue_queued_prefetches). */
-            int issued = 0;
-            while (d->pq_n && issued < d->pq_drain) {
-                long long p = d->pq[d->pq_head];
-                d->pq_head++;
-                if (d->pq_head >= d->pq_cap)
-                    d->pq_head = 0;
-                d->pq_n--;
-                issued++;
-                drv_issue_prefetch(d, p, issue_cycle);
-            }
-        }
-
-        /* Inlined demand_access. */
-        d->st_demand++;
-        long long latency;
-        int served_by = RES_L1, first_use = 0;
-        int infl = -1;
-        if (d->mshr_n) {
-            if (issue_cycle >= d->mshr_min_ready)
-                drv_mshr_complete(d, issue_cycle);
-            infl = drv_mshr_find(d, block);
-        }
-        if (infl >= 0) {
-            /* Late prefetch: the block is in flight. */
-            long long remaining = d->mshr_ready[infl] - issue_cycle;
-            latency = remaining > lat_l1 ? remaining : lat_l1;
-            unsigned char fl = CB_PREFETCHED | CB_USEFUL;
-            if (d->mshr_dram[infl])
-                fl |= CB_FROM_DRAM;
-            if (is_store)
-                fl |= CB_DIRTY;
-            /* dict pop: no _min_ready recompute. */
-            memmove(d->mshr_block + infl, d->mshr_block + infl + 1,
-                    sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
-            memmove(d->mshr_ready + infl, d->mshr_ready + infl + 1,
-                    sizeof(long long) * (size_t)(d->mshr_n - 1 - infl));
-            memmove(d->mshr_dram + infl, d->mshr_dram + infl + 1,
-                    sizeof(unsigned char)
-                        * (size_t)(d->mshr_n - 1 - infl));
-            d->mshr_n--;
-            drv_fill(d, &d->l1, block, fl, 1);
-            d->st_l1_hits++;
-            d->st_pf_useful_l1++;
-            d->st_pf_late++;
-            if (fl & CB_FROM_DRAM)
-                d->st_pf_covered++;
-            d->st_latency += latency;
-            served_by = RES_INFLIGHT;
-        } else {
-            DCRow r1 = dc_row(&d->l1, block);
-            int p1 = dcrow_find(&r1, block);
-            if (p1 >= 0) {
-                unsigned char f = r1.flg[p1];
-                dcrow_touch(&r1, p1);
-                d->l1.hits++;
-                if (f & CB_PREFETCHED) {
-                    if (!(f & CB_USEFUL))
-                        f |= CB_USEFUL;
-                    if (!(f & CB_COUNTED)) {
-                        f |= CB_COUNTED;
-                        first_use = 1;
-                        d->st_pf_useful_l1++;
-                        if (f & CB_FROM_DRAM)
-                            d->st_pf_covered++;
-                    }
-                }
-                if (is_store)
-                    f |= CB_DIRTY;
-                r1.flg[r1.n - 1] = f;
-                d->st_l1_hits++;
-                d->st_latency += lat_l1;
-                latency = lat_l1;
-            } else {
-                latency = drv_demand_miss(d, block, issue_cycle,
-                                          is_store, &served_by,
-                                          &first_use);
-            }
-        }
-        drv_complete(d, latency);
-
-        if (kind == 0 && !d->cb_failed) {
-            if (d->ptype == DRV_PF_PYTHON) {
-                drv_py_train(d, pc, address, issue_cycle, latency,
-                             served_by, first_use);
-            } else {
-                const long long *buf = NULL;
-                int l1_hit =
-                    served_by == RES_L1 || served_by == RES_INFLIGHT;
-                int cnt = drv_train(d, pc, address, issue_cycle,
-                                    latency, l1_hit, &buf);
-                if (cnt > 0)
-                    drv_enqueue(d, buf, cnt);
-            }
-        }
+        executed += drv_step(d, tr_addr[i], tr_pc[i], tr_block[i],
+                             tr_gap[i], tr_kind[i]);
         if (d->cb_failed)
             break;
     }
@@ -3142,6 +3263,164 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
     }
     DRV_CHECK(d);
     return Py_BuildValue("(nLLi)", index, replays, executed, yielded);
+}
+
+/* One core's round-robin cursor in run_mix. */
+typedef struct {
+    Py_ssize_t index;
+    long long replays, executed, budget;
+    int measuring;
+} MixCore;
+
+static PyTypeObject DriverKernelType;
+
+/* run_mix(kernels, traces, cursors, start) -> (stop, cursors)
+ *
+ * MultiCoreSimulator._run_exact over kernels that share one LLC/DRAM
+ * state: from core `start`, step one access per core in round-robin
+ * order, replaying each trace on exhaust; a round starts only while
+ * some core still measures.  traces[k] is core k's (addresses, pcs,
+ * blocks, gaps, kinds) and cursors[k] its (index, replays, executed,
+ * budget, measuring).  Returns as soon as a measuring core's executed
+ * instructions reach its budget, with stop = that core, so Python can
+ * close its measurement and resume from stop + 1; stop = -1 once no
+ * core measures at a round start.  The returned cursors are
+ * (index, replays, executed) per core.  No hit runs: every access takes
+ * drv_step. */
+static PyObject *
+drv_run_mix(PyObject *Py_UNUSED(module), PyObject *const *args,
+            Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "run_mix() takes exactly 4 arguments");
+        return NULL;
+    }
+    PyObject *kernels = args[0], *traces = args[1], *cursors = args[2];
+    Py_ssize_t start = PyLong_AsSsize_t(args[3]);
+    if (start == -1 && PyErr_Occurred())
+        return NULL;
+    if (!PyTuple_Check(kernels) || !PyTuple_Check(traces)
+        || !PyTuple_Check(cursors)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "kernels, traces and cursors must be tuples");
+        return NULL;
+    }
+    Py_ssize_t n = PyTuple_GET_SIZE(kernels);
+    if (n < 1 || PyTuple_GET_SIZE(traces) != n
+        || PyTuple_GET_SIZE(cursors) != n || start < 0 || start > n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "run_mix needs one trace and cursor per kernel and "
+                        "0 <= start <= cores");
+        return NULL;
+    }
+    MixCore *mc = PyMem_Calloc((size_t)n, sizeof(MixCore));
+    DriverKernel **ds = PyMem_Calloc((size_t)n, sizeof(DriverKernel *));
+    if (mc == NULL || ds == NULL) {
+        PyMem_Free(mc);
+        PyMem_Free(ds);
+        return PyErr_NoMemory();
+    }
+    PyObject *out = NULL;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *kernel = PyTuple_GET_ITEM(kernels, k);
+        if (!PyObject_TypeCheck(kernel, &DriverKernelType)) {
+            PyErr_SetString(PyExc_TypeError, "kernels must be DriverKernels");
+            goto done;
+        }
+        DriverKernel *d = (DriverKernel *)kernel;
+        if (d->sh == NULL || d->sh != ((DriverKernel *)
+                                       PyTuple_GET_ITEM(kernels, 0))->sh) {
+            PyErr_SetString(PyExc_ValueError,
+                            "run_mix kernels must share one LLC/DRAM state");
+            goto done;
+        }
+        PyObject *tr = PyTuple_GET_ITEM(traces, k);
+        if (!PyTuple_Check(tr) || PyTuple_GET_SIZE(tr) != 5) {
+            PyErr_SetString(PyExc_TypeError,
+                            "each trace must be an (addresses, pcs, blocks, "
+                            "gaps, kinds) tuple");
+            goto done;
+        }
+        if (drv_load_trace(d, PyTuple_GET_ITEM(tr, 0), PyTuple_GET_ITEM(tr, 1),
+                           PyTuple_GET_ITEM(tr, 2), PyTuple_GET_ITEM(tr, 3),
+                           PyTuple_GET_ITEM(tr, 4)) < 0)
+            goto done;
+        MixCore *c = &mc[k];
+        ds[k] = d;
+        PyObject *cursor = PyTuple_GET_ITEM(cursors, k);
+        if (!PyTuple_Check(cursor)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "each cursor must be an (index, replays, "
+                            "executed, budget, measuring) tuple");
+            goto done;
+        }
+        if (!PyArg_ParseTuple(cursor, "nLLLp", &c->index, &c->replays,
+                              &c->executed, &c->budget, &c->measuring))
+            goto done;
+        if (d->tr_len <= 0) {
+            PyErr_SetString(PyExc_ValueError, "cannot simulate an empty trace");
+            goto done;
+        }
+        if (c->index < 0 || c->index >= d->tr_len) {
+            PyErr_SetString(PyExc_ValueError, "trace index out of range");
+            goto done;
+        }
+    }
+
+    Py_ssize_t stop = -1;
+    for (Py_ssize_t k = start;; k++) {
+        if (k >= n)
+            k = 0;
+        if (k == 0) {
+            int measuring = 0;
+            for (Py_ssize_t j = 0; j < n; j++)
+                measuring |= mc[j].measuring;
+            if (!measuring)
+                break;
+        }
+        MixCore *c = &mc[k];
+        DriverKernel *d = ds[k];
+        Py_ssize_t i = c->index;
+        if (++c->index >= d->tr_len) {
+            c->index = 0;
+            c->replays++;
+        }
+        c->executed += drv_step(d, d->tr_addr[i], d->tr_pc[i],
+                                d->tr_block[i], d->tr_gap[i], d->tr_kind[i]);
+        if (d->cb_failed) {
+            /* A Python callback raised: its exception is already set. */
+            d->cb_failed = 0;
+            goto done;
+        }
+        if (c->measuring && c->executed >= c->budget) {
+            stop = k;
+            break;
+        }
+    }
+#ifdef REPRO_DEBUG_KERNELS
+    for (Py_ssize_t k = 0; k < n; k++)
+        if (drv_check_core(ds[k]) < 0)
+            goto done;
+    if (drv_check_shared(ds, n) < 0)
+        goto done;
+#endif
+    PyObject *state = PyTuple_New(n);
+    if (state == NULL)
+        goto done;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *it = Py_BuildValue("(nLL)", mc[k].index, mc[k].replays,
+                                     mc[k].executed);
+        if (it == NULL) {
+            Py_DECREF(state);
+            goto done;
+        }
+        PyTuple_SET_ITEM(state, k, it);
+    }
+    out = Py_BuildValue("(nN)", stop, state);
+done:
+    PyMem_Free(mc);
+    PyMem_Free(ds);
+    return out;
 }
 
 static void
@@ -3156,9 +3435,7 @@ drv_zero_stats(DriverKernel *d)
     d->st_pf_useful_l1 = d->st_pf_useful_l2 = d->st_pf_useless = 0;
     d->st_pf_late = d->st_pf_covered = 0;
     d->st_pq_enq = d->st_pq_drop = 0;
-    d->l1.hits = d->l1.misses = d->l1.evictions = d->l1.useless = 0;
-    d->l2.hits = d->l2.misses = d->l2.evictions = d->l2.useless = 0;
-    d->llc.hits = d->llc.misses = d->llc.evictions = d->llc.useless = 0;
+    d->n1 = d->n2 = d->n3 = (DCount){0, 0, 0, 0};
     d->dr_requests = d->dr_demand = d->dr_prefetch = 0;
     d->dr_row_hits = d->dr_row_misses = d->dr_queue_wait = d->dr_service = 0;
 }
@@ -3168,14 +3445,12 @@ drv_free_buffers(DriverKernel *d)
 {
     dc_free(&d->l1);
     dc_free(&d->l2);
-    dc_free(&d->llc);
+    drv_shared_release(d->sh);
+    d->sh = NULL;
     PyMem_Free(d->mshr_block);
     PyMem_Free(d->mshr_ready);
     PyMem_Free(d->mshr_dram);
     PyMem_Free(d->pq);
-    PyMem_Free(d->dr_open_row);
-    PyMem_Free(d->dr_bank_busy);
-    PyMem_Free(d->dr_channel_busy);
     PyMem_Free(d->out_pos);
     PyMem_Free(d->out_comp);
     PyMem_Free(d->missv);
@@ -3187,8 +3462,6 @@ drv_free_buffers(DriverKernel *d)
     d->mshr_block = d->mshr_ready = NULL;
     d->mshr_dram = NULL;
     d->pq = NULL;
-    d->dr_open_row = NULL;
-    d->dr_bank_busy = d->dr_channel_busy = NULL;
     d->out_pos = NULL;
     d->out_comp = NULL;
     d->missv = NULL;
@@ -3235,7 +3508,7 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
         "dram_row_miss", "dram_transfer",
         "width", "fetch_increment", "rob", "lq", "miss_limit",
         "miss_threshold", "ptype", "kernel", "evict", "results", "hint_l1",
-        NULL,
+        "shared", NULL,
     };
     int l1_sets, l1_ways, l2_sets, l2_ways, llc_sets, llc_ways;
     long long lat_l1, lat_l2, lat_llc, lat_l2_source, lat_llc_source;
@@ -3249,16 +3522,17 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
     int miss_limit;
     long long miss_threshold;
     int ptype;
-    PyObject *kernel, *evict, *results, *hint_l1;
+    PyObject *kernel, *evict, *results, *hint_l1, *shared = Py_None;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "iiiiiiLLLLLiiiiiLLLdidLLiLiOOOO", kwlist,
+            args, kwds, "iiiiiiLLLLLiiiiiLLLdidLLiLiOOOO|O", kwlist,
             &l1_sets, &l1_ways, &l2_sets, &l2_ways, &llc_sets, &llc_ways,
             &lat_l1, &lat_l2, &lat_llc, &lat_l2_source, &lat_llc_source,
             &mshr_capacity, &pq_capacity, &pq_drain,
             &dram_channels, &dram_banks, &dram_row_div, &dram_row_hit,
             &dram_row_miss, &dram_transfer,
             &width, &fetch_increment, &rob, &lq, &miss_limit,
-            &miss_threshold, &ptype, &kernel, &evict, &results, &hint_l1))
+            &miss_threshold, &ptype, &kernel, &evict, &results, &hint_l1,
+            &shared))
         return -1;
     if (!drv_pow2(l1_sets) || !drv_pow2(l2_sets) || !drv_pow2(llc_sets)
         || l1_ways < 1 || l2_ways < 1 || llc_ways < 1) {
@@ -3322,13 +3596,43 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
                      want->tp_name);
         return -1;
     }
+    DrvShared *borrow = NULL;
+    if (shared != Py_None) {
+        if (!PyObject_TypeCheck(shared, &DriverKernelType)
+            || ((DriverKernel *)shared)->sh == NULL) {
+            PyErr_SetString(PyExc_TypeError,
+                            "shared must be an initialised DriverKernel");
+            return -1;
+        }
+        borrow = ((DriverKernel *)shared)->sh;
+        if (borrow->llc.sets != llc_sets || borrow->llc.ways != llc_ways
+            || borrow->dr_channels != dram_channels
+            || borrow->dr_banks != dram_banks
+            || borrow->dr_row_div != dram_row_div
+            || borrow->dr_lat_row_hit != dram_row_hit
+            || borrow->dr_lat_row_miss != dram_row_miss
+            || borrow->dr_transfer != dram_transfer) {
+            PyErr_SetString(PyExc_ValueError,
+                            "shared kernel has a different LLC/DRAM geometry");
+            return -1;
+        }
+        borrow->refs++; /* before the release below: shared may be self */
+    }
 
     drv_free_buffers(self);
     drv_clear_refs(self);
 
+    if (borrow != NULL) {
+        self->sh = borrow;
+    } else {
+        self->sh = drv_shared_new(llc_sets, llc_ways, dram_channels,
+                                  dram_banks, dram_row_div, dram_row_hit,
+                                  dram_row_miss, dram_transfer);
+        if (self->sh == NULL)
+            goto nomem;
+    }
     if (dc_init(&self->l1, l1_sets, l1_ways) < 0
-        || dc_init(&self->l2, l2_sets, l2_ways) < 0
-        || dc_init(&self->llc, llc_sets, llc_ways) < 0)
+        || dc_init(&self->l2, l2_sets, l2_ways) < 0)
         goto nomem;
     self->lat_l1 = lat_l1;
     self->lat_l2 = lat_l2;
@@ -3353,26 +3657,6 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
     self->pq = PyMem_Malloc(sizeof(long long) * (size_t)pq_capacity);
     if (!self->pq)
         goto nomem;
-
-    self->dr_channels = dram_channels;
-    self->dr_banks = dram_banks;
-    self->dr_row_div = dram_row_div;
-    self->dr_lat_row_hit = dram_row_hit;
-    self->dr_lat_row_miss = dram_row_miss;
-    self->dr_transfer = dram_transfer;
-    size_t total_banks = (size_t)dram_channels * (size_t)dram_banks;
-    self->dr_open_row = PyMem_Malloc(sizeof(long long) * total_banks);
-    self->dr_bank_busy = PyMem_Malloc(sizeof(double) * total_banks);
-    self->dr_channel_busy =
-        PyMem_Malloc(sizeof(double) * (size_t)dram_channels);
-    if (!self->dr_open_row || !self->dr_bank_busy || !self->dr_channel_busy)
-        goto nomem;
-    for (size_t b = 0; b < total_banks; b++) {
-        self->dr_open_row[b] = -1;
-        self->dr_bank_busy[b] = 0.0;
-    }
-    for (int c = 0; c < dram_channels; c++)
-        self->dr_channel_busy[c] = 0.0;
 
     self->width = width;
     self->fetch_inc = fetch_increment;
@@ -3430,7 +3714,7 @@ drv_level(DriverKernel *d, int level)
     case 2:
         return &d->l2;
     case 3:
-        return &d->llc;
+        return &d->sh->llc;
     }
     PyErr_SetString(PyExc_ValueError, "level must be 1, 2 or 3");
     return NULL;
@@ -3631,10 +3915,11 @@ Driver_load_dram(DriverKernel *d, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOO", &open_list, &busy_list,
                           &channel_list))
         return NULL;
-    long long total_banks = (long long)d->dr_channels * d->dr_banks;
+    DrvShared *s = d->sh;
+    long long total_banks = (long long)s->dr_channels * s->dr_banks;
     for (long long b = 0; b < total_banks; b++) {
-        d->dr_open_row[b] = -1;
-        d->dr_bank_busy[b] = 0.0;
+        s->dr_open_row[b] = -1;
+        s->dr_bank_busy[b] = 0.0;
     }
     PyObject *oseq = PySequence_Fast(open_list, "open rows must be a sequence");
     if (!oseq)
@@ -3649,7 +3934,7 @@ Driver_load_dram(DriverKernel *d, PyObject *args)
                 PyErr_SetString(PyExc_ValueError, "bank out of range");
             return NULL;
         }
-        d->dr_open_row[bank] = row;
+        s->dr_open_row[bank] = row;
     }
     Py_DECREF(oseq);
     PyObject *bseq = PySequence_Fast(busy_list, "bank busy must be a sequence");
@@ -3665,25 +3950,25 @@ Driver_load_dram(DriverKernel *d, PyObject *args)
                 PyErr_SetString(PyExc_ValueError, "bank out of range");
             return NULL;
         }
-        d->dr_bank_busy[bank] = busy;
+        s->dr_bank_busy[bank] = busy;
     }
     Py_DECREF(bseq);
     PyObject *cseq =
         PySequence_Fast(channel_list, "channel busy must be a sequence");
     if (!cseq)
         return NULL;
-    if (PySequence_Fast_GET_SIZE(cseq) != d->dr_channels) {
+    if (PySequence_Fast_GET_SIZE(cseq) != s->dr_channels) {
         Py_DECREF(cseq);
         PyErr_SetString(PyExc_ValueError, "channel busy length mismatch");
         return NULL;
     }
-    for (Py_ssize_t i = 0; i < d->dr_channels; i++) {
+    for (Py_ssize_t i = 0; i < s->dr_channels; i++) {
         double busy = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(cseq, i));
         if (PyErr_Occurred()) {
             Py_DECREF(cseq);
             return NULL;
         }
-        d->dr_channel_busy[i] = busy;
+        s->dr_channel_busy[i] = busy;
     }
     Py_DECREF(cseq);
     DRV_CHECK(d);
@@ -3693,23 +3978,24 @@ Driver_load_dram(DriverKernel *d, PyObject *args)
 static PyObject *
 Driver_export_dram(DriverKernel *d, PyObject *Py_UNUSED(ignored))
 {
-    long long total_banks = (long long)d->dr_channels * d->dr_banks;
+    DrvShared *s = d->sh;
+    long long total_banks = (long long)s->dr_channels * s->dr_banks;
     PyObject *open_list = PyList_New(0);
     PyObject *busy_list = PyList_New(0);
-    PyObject *chan_list = PyList_New(d->dr_channels);
+    PyObject *chan_list = PyList_New(s->dr_channels);
     if (!open_list || !busy_list || !chan_list)
         goto fail;
     for (long long b = 0; b < total_banks; b++) {
-        if (d->dr_open_row[b] != -1) {
-            PyObject *it = Py_BuildValue("(LL)", b, d->dr_open_row[b]);
+        if (s->dr_open_row[b] != -1) {
+            PyObject *it = Py_BuildValue("(LL)", b, s->dr_open_row[b]);
             if (!it || PyList_Append(open_list, it) < 0) {
                 Py_XDECREF(it);
                 goto fail;
             }
             Py_DECREF(it);
         }
-        if (d->dr_bank_busy[b] != 0.0) {
-            PyObject *it = Py_BuildValue("(Ld)", b, d->dr_bank_busy[b]);
+        if (s->dr_bank_busy[b] != 0.0) {
+            PyObject *it = Py_BuildValue("(Ld)", b, s->dr_bank_busy[b]);
             if (!it || PyList_Append(busy_list, it) < 0) {
                 Py_XDECREF(it);
                 goto fail;
@@ -3717,8 +4003,8 @@ Driver_export_dram(DriverKernel *d, PyObject *Py_UNUSED(ignored))
             Py_DECREF(it);
         }
     }
-    for (int c = 0; c < d->dr_channels; c++) {
-        PyObject *v = PyFloat_FromDouble(d->dr_channel_busy[c]);
+    for (int c = 0; c < s->dr_channels; c++) {
+        PyObject *v = PyFloat_FromDouble(s->dr_channel_busy[c]);
         if (!v)
             goto fail;
         PyList_SET_ITEM(chan_list, c, v);
@@ -3802,9 +4088,9 @@ Driver_drain_stats(DriverKernel *d, PyObject *Py_UNUSED(ignored))
         d->st_pf_fill_l2, d->st_pf_useful_l1, d->st_pf_useful_l2,
         d->st_pf_useless, d->st_pf_late, d->st_pf_covered,
         d->st_pq_enq, d->st_pq_drop,
-        d->l1.hits, d->l1.misses, d->l1.evictions, d->l1.useless,
-        d->l2.hits, d->l2.misses, d->l2.evictions, d->l2.useless,
-        d->llc.hits, d->llc.misses, d->llc.evictions, d->llc.useless,
+        d->n1.hits, d->n1.misses, d->n1.evictions, d->n1.useless,
+        d->n2.hits, d->n2.misses, d->n2.evictions, d->n2.useless,
+        d->n3.hits, d->n3.misses, d->n3.evictions, d->n3.useless,
         d->dr_requests, d->dr_demand, d->dr_prefetch, d->dr_row_hits,
         d->dr_row_misses, d->dr_queue_wait, d->dr_service,
     };
@@ -3861,11 +4147,19 @@ static PyTypeObject DriverKernelType = {
 };
 
 /* ================================================================== */
+static PyMethodDef kernels_methods[] = {
+    {"run_mix", (PyCFunction)(void (*)(void))drv_run_mix, METH_FASTCALL,
+     "run_mix(kernels, traces, cursors, start) -> (stop, cursors): the\n"
+     "round-robin N-core loop over DriverKernels sharing one LLC/DRAM."},
+    {NULL, NULL, 0, NULL},
+};
+
 static PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernels",
     .m_doc = "Compiled twins of the prefetcher train loops and the driver loop.",
     .m_size = -1,
+    .m_methods = kernels_methods,
 };
 
 PyMODINIT_FUNC
@@ -3921,7 +4215,7 @@ PyInit__kernels(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "KERNELS_ABI", 4) < 0) {
+    if (PyModule_AddIntConstant(m, "KERNELS_ABI", 5) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -135,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "bit-identical either way")
     run.add_argument("--kernel", choices=("auto", "python", "compiled"),
                      default="auto",
-                     help="prefetcher-state tier for single-core jobs: "
-                          "engine default (auto), pure Python (python), or "
+                     help="prefetcher-state tier for single-core and mix "
+                          "jobs: engine default (auto), pure Python (python), or "
                           "the optional C extension with silent fallback "
                           "when it is not built (compiled; build it with "
                           "`python setup.py build_ext --inplace`); "
@@ -207,8 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "over the shared cases")
     bench.add_argument("--kernel", choices=("auto", "python", "compiled"),
                        default="auto",
-                       help="prefetcher-state tier for single-core cases "
-                            "(mix cases keep the engine default); case keys "
+                       help="prefetcher-state tier for every case, mix "
+                            "cases included; case keys "
                             "are tier-independent, so a compiled-tier run's "
                             "per-case ratios against a pure-Python baseline "
                             "read directly as the compiled speedup")

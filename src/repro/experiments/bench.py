@@ -140,8 +140,8 @@ class BenchCase:
     recorded in every snapshot and the scalar path keeps regression
     coverage.
 
-    ``kernel`` is the prefetcher tier (``"auto"``/``"python"``/
-    ``"compiled"``) of single-core cases.  It is deliberately *not* part
+    ``kernel`` is the tier (``"auto"``/``"python"``/``"compiled"``) of
+    every case, the mix case included.  It is deliberately *not* part
     of the case key: a snapshot taken under ``--kernel compiled``
     carries the same keys as a pure-Python one, so ``compare_bench``
     lines the tiers up case-by-case and the compiled lane's ratios read
@@ -357,6 +357,7 @@ def _run_mix_case(
         prefetcher=case.prefetcher,
         trace_length=per_core_length,
         max_instructions_per_core=trace_length,
+        kernel=case.kernel,
     )
 
     def run_once():
@@ -369,6 +370,7 @@ def _run_mix_case(
     best_rate, best_wall, result = _best_of(repeats, run_once)
     return {
         "kind": case.kind,
+        "kernel": case.kernel,
         "cores": len(specs),
         "accesses": sum(s.demand_accesses for s in result.per_core.values()),
         "instructions": sum(s.instructions for s in result.per_core.values()),
@@ -390,12 +392,11 @@ def run_bench(
     ``trace_length`` defaults to :data:`BENCH_TRACE_LENGTH` (resolved at
     call time so tests can shrink the suite).  ``progress`` is an optional
     callable receiving one line per finished case (used by the CLI to
-    stream results).  ``kernel`` selects the prefetcher tier of
-    every single-core case (mix cases drive the multi-core scheduler and
-    keep the engine default); case keys are tier-independent, so a
-    compiled-tier run compares case-by-case against pure-Python
-    baselines.  ``kinds`` restricts the run to the named case kinds (see
-    :func:`bench_cases`).
+    stream results).  ``kernel`` selects the tier of every case, the
+    mix case included (under ``"compiled"`` it runs its whole schedule in
+    the C driver); case keys are tier-independent, so a compiled-tier run
+    compares case-by-case against pure-Python baselines.  ``kinds``
+    restricts the run to the named case kinds (see :func:`bench_cases`).
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -410,7 +411,7 @@ def run_bench(
     tier_eligible: List[BenchCase] = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp_dir:
         for case in bench_cases(quick, kinds=kinds):
-            if case.kind != "mix" and kernel != "auto":
+            if kernel != "auto":
                 case = replace(case, kernel=kernel)
             if case.kind == "mix":
                 payload = _run_mix_case(case, trace_length, repeats)

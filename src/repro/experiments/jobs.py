@@ -63,7 +63,7 @@ class SimulationJob:
     default) runs generated traces through the batched kernel with a
     per-process decoded-trace memo, ``"off"`` forces the scalar kernel and
     ``"on"`` additionally decodes file-backed traces.  Like
-    :attr:`MixSimulationJob.workers` it is an *execution* detail — results
+    :attr:`MixSimulationJob.kernel` it is an *execution* detail — results
     are bit-identical for every value — so it is deliberately excluded
     from :meth:`to_dict` and :meth:`key`.
 
@@ -148,12 +148,18 @@ class MixSimulationJob:
 
     ``specs`` holds one :class:`~repro.workloads.trace.TraceSpec` per core
     (a homogeneous mix repeats one spec), so the job key covers the
-    content-hashed trace tuple.  Every field affects results, so every
-    field is part of the key.
+    content-hashed trace tuple.  Every field but ``kernel`` affects
+    results, so every other field is part of the key.
 
     ``system`` is the per-core base configuration; the simulator scales the
     shared LLC/DRAM for ``len(specs)`` cores exactly as the paper's Table
     II does.
+
+    ``kernel`` selects the tier like :attr:`SimulationJob.kernel`:
+    ``"compiled"`` runs every core's prefetcher as its C twin (or hosted
+    through callbacks) and the whole round-robin schedule in the C driver
+    when the extension is built, falling back to the Python schedule
+    otherwise.  It is bit-identical by contract.
     """
 
     specs: Tuple[TraceSpec, ...]
@@ -162,10 +168,20 @@ class MixSimulationJob:
     trace_length: int = 8_000
     max_instructions_per_core: int = 30_000
     prefetcher_params: Tuple[Tuple[str, object], ...] = ()
+    kernel: str = "auto"
+
+    #: Execution-detail fields left out of :meth:`to_dict` / :meth:`key`
+    #: (see :attr:`SimulationJob.KEY_EXCLUDED`).
+    KEY_EXCLUDED = ("kernel",)
 
     def __post_init__(self) -> None:
         if not self.specs:
             raise ValueError("a mix needs at least one trace spec")
+        if self.kernel not in KERNEL_MODES:
+            raise ValueError(
+                f"unknown kernel mode {self.kernel!r}; "
+                f"expected one of {KERNEL_MODES}"
+            )
 
     @property
     def num_cores(self) -> int:
@@ -306,6 +322,8 @@ def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
 
     Pure with respect to ``job``: trace specs are seed-deterministic or
     digest-pinned, and the round-robin schedule is deterministic.
+    Compiled jobs take the decoded traces the C driver reads; the Python
+    schedule keeps the materialized lists its per-access step indexes.
     """
     traces = []
     for spec in job.specs:
@@ -313,6 +331,8 @@ def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
             # Re-openable streaming handle: the mix replays it by
             # re-opening, so file-backed cores run in O(1) memory.
             traces.append(spec.replayable(length=job.trace_length))
+        elif job.kernel == "compiled":
+            traces.append(batched_trace_cached(spec, job.trace_length))
         else:
             traces.append(build_trace_cached(spec, job.trace_length))
     if job.is_baseline:
@@ -325,6 +345,7 @@ def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
         prefetcher_factory=prefetcher_factory,
         config=job.system,
         name=job.name,
+        kernel=job.kernel,
     )
     return simulator.run(
         traces,

@@ -197,9 +197,9 @@ class ExperimentRunner:
                 single-core job (``"auto"``/``"on"``/``"off"``, see
                 :class:`~repro.experiments.jobs.SimulationJob`); results
                 are bit-identical for every value.
-            kernel: prefetcher-state tier forwarded to every single-core
-                job (``"auto"``/``"python"``/``"compiled"``, see
-                :class:`~repro.experiments.jobs.SimulationJob`); like
+            kernel: prefetcher-state tier forwarded to every job,
+                single-core and mix (``"auto"``/``"python"``/``"compiled"``,
+                see :class:`~repro.experiments.jobs.SimulationJob`); like
                 ``batch``, results are bit-identical for every value and
                 ``"compiled"`` silently falls back when the extension is
                 not built.
@@ -255,7 +255,8 @@ class ExperimentRunner:
         configuration is scaled for the core count inside the simulator.
         Unlike single-core jobs, mixes keep their own ``trace_length`` /
         ``max_instructions_per_core`` knobs (the paper's multi-core runs
-        are scaled independently of the single-core grids).
+        are scaled independently of the single-core grids); the runner's
+        ``kernel`` tier is forwarded like :meth:`job_for`'s.
         """
         return MixSimulationJob(
             specs=tuple(specs),
@@ -264,6 +265,7 @@ class ExperimentRunner:
             trace_length=trace_length,
             max_instructions_per_core=max_instructions_per_core,
             prefetcher_params=_normalize_params(prefetcher_params),
+            kernel=self.kernel,
         )
 
     # ------------------------------------------------------------------ #

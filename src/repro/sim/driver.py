@@ -4,7 +4,9 @@ When the optional C extension :mod:`repro._kernels` is built, the whole
 batched driver loop — cache probes, hit-run retirement, MSHR/DRAM/core
 timing, prefetch-queue drain and prefetcher training — can run inside the
 extension's ``DriverKernel`` instead of
-:meth:`~repro.sim.simulator.SingleCoreSimulator._execute_batched`.  This
+:meth:`~repro.sim.simulator.SingleCoreSimulator._execute_batched`, and a
+multi-core mix's whole round-robin schedule can run there instead of
+:meth:`~repro.sim.multicore.MultiCoreSimulator._run_exact`.  This
 module decides *whether* the C driver may engage for a given simulator
 (every geometry/listener/quiescence condition the C port relies on must
 hold), ships the live Python state into the kernel at attach
@@ -30,6 +32,9 @@ any other object       per-access loop + one Python ``train`` call per
                        load and one ``on_cache_eviction`` call per L1
                        eviction (only when the hook overrides the
                        base-class no-op)
+N-core mix             round-robin ``run_mix`` loop, one kernel per
+                       core with any of the prefetchers above, no hit
+                       runs, one LLC/DRAM state shared by all cores
 =====================  ==============================================
 
 What is left to decline is geometry and run shape: a scalar execution
@@ -47,6 +52,24 @@ the run is in progress, so a prefetcher must not read it from a callback;
 no registered design does.  An exception raised by either callback aborts
 the run and propagates unchanged; prefetches still queued at that point
 are dropped.
+
+**N-core mixes.**  :class:`~repro.sim.multicore.MultiCoreSimulator`
+under ``kernel="compiled"`` attaches one driver per core with
+:meth:`CompiledDriver.try_attach` — the same decline predicate, so one
+declining core (or one file-backed trace) sends the whole mix back to
+the Python schedule.  The first core's kernel owns the LLC tags/flags and
+the DRAM bank/row/channel state; every later kernel is built with
+``shared=<first kernel>`` and borrows it.  Each core keeps its private
+L1/L2, MSHR file, prefetch queue, core clock and stat deltas, including
+its own share of the LLC and DRAM counters.  :func:`run_mix` hands the
+kernels to ``_kernels.run_mix``, which steps the cores exactly like
+``_run_exact`` (replaying each trace on exhaust) and returns the moment a
+measuring core reaches its budget.  Python then runs that core's
+``close_measurement``: :meth:`CompiledDriver.sync` writes the core model
+and drains the stat deltas into the measured statistics, the totals are
+snapshotted, and the hierarchy's statistics target becomes the discarded
+sink.  The loop resumes with the next core.  At the end every driver
+syncs once more; a mix never flushes and never exports its hierarchies.
 
 **Detach is stats-only.**  ``run`` ends with :meth:`CompiledDriver.flush`
 (the C twin of ``CacheHierarchy.flush_prefetches``); :meth:`detach` then
@@ -164,8 +187,17 @@ class CompiledDriver:
     # Attach
     # ------------------------------------------------------------------ #
     @staticmethod
-    def try_attach(sim) -> Tuple[Optional["CompiledDriver"], Optional[str]]:
+    def try_attach(
+        sim, shared: Optional["CompiledDriver"] = None
+    ) -> Tuple[Optional["CompiledDriver"], Optional[str]]:
         """Build an attached driver for ``sim``, or ``(None, reason)``.
+
+        ``sim`` is a :class:`~repro.sim.simulator.SingleCoreSimulator` or
+        one core of a mix (:class:`~repro.sim.multicore._CoreContext`);
+        both expose ``hierarchy``, ``prefetcher``, ``core`` and
+        ``_notify_prefetcher_eviction``.  With ``shared`` (the driver of
+        a mix's first core) the kernel borrows that driver's LLC and DRAM
+        state instead of loading its own copy.
 
         The geometry check is the batched kernel's own
         (:func:`~repro.sim.simulator.batched_decline_reason`); on top of it
@@ -251,10 +283,10 @@ class CompiledDriver:
             evict=evict_hook,
             results=results,
             hint_l1=hint_l1,
+            shared=None if shared is None else shared._kernel,
         )
         kernel.load_cache(1, _cache_items(l1d))
         kernel.load_cache(2, _cache_items(l2c))
-        kernel.load_cache(3, _cache_items(llc))
         try:
             issue = core._issue_cycle
         except AttributeError:
@@ -267,11 +299,13 @@ class CompiledDriver:
             list(core._outstanding),
             list(core._outstanding_misses),
         )
-        kernel.load_dram(
-            list(dram._open_row.items()),
-            list(dram._bank_busy_until.items()),
-            list(dram._channel_busy_until),
-        )
+        if shared is None:
+            kernel.load_cache(3, _cache_items(llc))
+            kernel.load_dram(
+                list(dram._open_row.items()),
+                list(dram._bank_busy_until.items()),
+                list(dram._channel_busy_until),
+            )
         return CompiledDriver(kernel, sim), None
 
     # ------------------------------------------------------------------ #
@@ -304,6 +338,10 @@ class CompiledDriver:
         replayer.replays = replays
         if yielded:
             replayer.yielded_any = True
+        self.sync()
+
+    def sync(self) -> None:
+        """Write the kernel's core state and stat deltas onto the live objects."""
         self._sync_core_out()
         self._drain_stats()
 
@@ -395,9 +433,51 @@ class CompiledDriver:
         :func:`export_hierarchy`) and copied out only if someone reads the
         hierarchy.
         """
-        self._sync_core_out()
-        self._drain_stats()
+        self.sync()
         self._sim._pending_export = self._kernel
+
+
+def run_mix(contexts, drivers, traces) -> None:
+    """Run a mix's round-robin schedule in C, one attached driver per core.
+
+    ``traces`` holds each core's :class:`~repro.sim.batch.BatchedTrace`;
+    every kernel in ``drivers`` shares the first one's LLC and DRAM.  The
+    C loop steps the cores exactly like
+    :meth:`~repro.sim.multicore.MultiCoreSimulator._run_exact` and returns
+    whenever a measuring core reaches its budget; that core's
+    :meth:`~repro.sim.multicore._CoreContext.close_measurement` then runs
+    here, in Python, and the loop resumes with the next core.  At the end
+    every driver syncs its core and stats; the hierarchies are never
+    exported.
+    """
+    kernels = tuple(driver._kernel for driver in drivers)
+    arrays = tuple(
+        (trace.addresses, trace.pcs, trace.blocks, trace.gaps, trace.kinds)
+        for trace in traces
+    )
+    start = 0
+    while True:
+        cursors = tuple(
+            (
+                context.replayer._index,
+                context.replayer.replays,
+                context.executed_instructions,
+                context.budget,
+                context.measuring,
+            )
+            for context in contexts
+        )
+        stop, cursors = _kernels.run_mix(kernels, arrays, cursors, start)
+        for context, (index, replays, executed) in zip(contexts, cursors):
+            context.replayer._index = index
+            context.replayer.replays = replays
+            context.executed_instructions = executed
+        if stop < 0:
+            break
+        contexts[stop].close_measurement()
+        start = stop + 1
+    for driver in drivers:
+        driver.sync()
 
 
 def export_hierarchy(kernel, hierarchy) -> None:

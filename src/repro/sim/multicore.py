@@ -14,18 +14,29 @@ Cores are interleaved access-by-access in a round-robin fashion, so
 contention appears through the shared LLC contents and through the DRAM
 channel-occupancy model.  :meth:`_CoreContext.step` executes one access of
 one core; it is the single Python model of a mix.
+
+Under ``kernel="compiled"`` the same schedule runs in the C driver when
+the extension is built: every core attaches a
+:class:`~repro.sim.driver.CompiledDriver`, the kernels share one LLC and
+DRAM state, and the C loop hands control back only to close a core's
+measurement (see :mod:`repro.sim.driver`).  If any core declines, or a
+trace is a file-backed handle, the whole mix runs :meth:`_CoreContext.step`
+and the reason is kept in
+:attr:`MultiCoreSimulator.kernel_decline_reason`.  Statistics are
+bit-identical either way.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
+from repro.sim.batch import decode_trace
 from repro.sim.cache import Cache
 from repro.sim.config import SystemConfig, default_system_config
 from repro.sim.cpu import CoreTimingModel
 from repro.sim.dram import DRAMModel
 from repro.sim.hierarchy import CacheHierarchy
-from repro.sim.simulator import _TraceReplayer
+from repro.sim.simulator import KERNEL_MODES, _TraceReplayer, resolve_kernel
 from repro.sim.stats import MultiCoreStats, SimulationStats
 from repro.sim.types import AccessType, MemoryAccess
 
@@ -70,6 +81,9 @@ class _CoreContext:
         self.executed_instructions = 0
         self.budget = 0
         self.measuring = True
+        #: The attached :class:`~repro.sim.driver.CompiledDriver` while the
+        #: mix runs in C, else ``None``.
+        self.driver = None
 
     def _notify_prefetcher_eviction(self, victim) -> None:
         """Forward an L1D eviction to the prefetcher's region deactivation."""
@@ -111,8 +125,12 @@ class _CoreContext:
         hierarchy's statistics target is swapped to a discarded sink: the
         core keeps running — keeps demanding, prefetching and occupying the
         shared LLC/DRAM — but no longer pollutes its measured counters.
+        A core running in the C driver first syncs its core model and
+        drains its stat deltas, so both cover exactly the accesses so far.
         """
         self.measuring = False
+        if self.driver is not None:
+            self.driver.sync()
         instructions, cycles = self.core.progress_totals()
         self.stats.instructions = instructions
         self.stats.cycles = cycles
@@ -136,14 +154,26 @@ class MultiCoreSimulator:
         prefetcher_factory: Optional[Callable[[], object]] = None,
         config: Optional[SystemConfig] = None,
         name: str = "",
+        kernel: str = "auto",
     ) -> None:
         if num_cores < 1:
             raise ValueError("num_cores must be >= 1")
+        if kernel not in KERNEL_MODES:
+            raise ValueError(
+                f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}"
+            )
         base = config if config is not None else default_system_config(num_cores)
         self.config = base.scaled_for_cores(num_cores)
         self.num_cores = num_cores
         self.prefetcher_factory = prefetcher_factory
         self.name = name
+        #: Requested tier (see :data:`~repro.sim.simulator.KERNEL_MODES`):
+        #: ``"compiled"`` runs the whole mix in the C driver when every
+        #: core can attach one.
+        self.kernel = kernel
+        #: Why the last ``kernel="compiled"`` run fell back to
+        #: :meth:`_run_exact` (``None`` when it ran in C, or was not asked to).
+        self.kernel_decline_reason: Optional[str] = None
 
     def run(
         self,
@@ -169,7 +199,9 @@ class MultiCoreSimulator:
         contexts: List[_CoreContext] = []
         for core_id, trace in enumerate(traces):
             prefetcher = (
-                self.prefetcher_factory() if self.prefetcher_factory else None
+                resolve_kernel(self.prefetcher_factory(), self.kernel)
+                if self.prefetcher_factory
+                else None
             )
             context = _CoreContext(
                 core_id=core_id,
@@ -183,7 +215,11 @@ class MultiCoreSimulator:
             context.budget = max_instructions_per_core
             contexts.append(context)
 
-        self._run_exact(contexts)
+        self.kernel_decline_reason = None
+        if self.kernel == "compiled":
+            self._run_compiled(contexts)
+        else:
+            self._run_exact(contexts)
 
         result = MultiCoreStats(
             name=self.name,
@@ -192,6 +228,36 @@ class MultiCoreSimulator:
         for context in contexts:
             result.per_core[context.core_id] = context.finalize()
         return result
+
+    def _run_compiled(self, contexts: List[_CoreContext]) -> None:
+        """The exact schedule in the C driver, or :meth:`_run_exact`.
+
+        Every core must attach a driver (the same decline predicate as a
+        single-core run) and every trace must be materialized; otherwise
+        the whole mix runs in Python and the reason is recorded.
+        """
+        from repro.sim.driver import CompiledDriver, run_mix
+
+        sequences = [context.replayer._sequence for context in contexts]
+        drivers = []
+        reason = None
+        if any(sequence is None for sequence in sequences):
+            reason = "file-backed trace handle in mix"
+        else:
+            for context in contexts:
+                driver, reason = CompiledDriver.try_attach(
+                    context, shared=drivers[0] if drivers else None
+                )
+                if driver is None:
+                    break
+                drivers.append(driver)
+        if reason is not None:
+            self.kernel_decline_reason = reason
+            self._run_exact(contexts)
+            return
+        for context, driver in zip(contexts, drivers):
+            context.driver = driver
+        run_mix(contexts, drivers, [decode_trace(s) for s in sequences])
 
     def _run_exact(self, contexts: List[_CoreContext]) -> None:
         """Round-robin access-by-access interleaving."""
@@ -209,6 +275,7 @@ def simulate_mix(
     config: Optional[SystemConfig] = None,
     max_instructions_per_core: int = 50_000,
     name: str = "",
+    kernel: str = "auto",
 ) -> MultiCoreStats:
     """Convenience wrapper around :class:`MultiCoreSimulator`."""
     simulator = MultiCoreSimulator(
@@ -216,6 +283,7 @@ def simulate_mix(
         prefetcher_factory=prefetcher_factory,
         config=config,
         name=name,
+        kernel=kernel,
     )
     return simulator.run(
         traces,

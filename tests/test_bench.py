@@ -86,6 +86,16 @@ class TestBenchSuiteDefinition:
         for value in result["geomean_by_kind"].values():
             assert value > 0
 
+    def test_mix_case_follows_kernel(self):
+        # --kernel reaches the mix case too; its key stays tier-independent.
+        for kernel in ("auto", "compiled"):
+            result = bench.run_bench(
+                repeats=1, trace_length=400, kernel=kernel, kinds=("mix",)
+            )
+            payload = result["cases"]["mix4-hetero-L400-exact/gaze"]
+            assert payload["kernel"] == kernel
+            assert payload["accesses"] > 0
+
     def test_run_bench_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
             bench.run_bench(repeats=0)

@@ -10,6 +10,13 @@ Covers the acceptance properties of the multi-core subsystem:
   on fixed mixes (``tests/goldens/multicore.json``), refreshed like the
   single-core goldens with ``REFRESH_GOLDENS=1``.
 * **Re-entrancy** — every ``run`` starts from a cold shared LLC and DRAM.
+* **Compiled mixes** — ``kernel="compiled"`` runs the whole round-robin
+  schedule in the C driver over one shared LLC/DRAM state; its
+  statistics must equal the Python ``_CoreContext.step`` schedule for
+  every core count, budget cut and replay, a raising Python ``train``
+  must propagate unchanged, and a mix the driver declines falls back.
+  Without the extension the compiled runs fall back, so the equalities
+  still hold; tests that need the C loop to engage are skipped.
 * **Engine integration** — mix jobs are content-keyed (trace tuples,
   budgets), sharded across worker processes bit-identically, and answered
   from the persistent cache on warm re-runs.
@@ -28,11 +35,17 @@ from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import ParallelExecutor, SerialExecutor
 from repro.experiments.jobs import MixSimulationJob, execute_job
 from repro.prefetchers.registry import create_prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.sim import default_system_config, simulate_mix
+from repro.sim.driver import driver_available
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.stats import MultiCoreStats
-from repro.sim.types import MemoryAccess
+from repro.sim.types import MemoryAccess, PrefetchHint, PrefetchRequest
 from repro.workloads.trace import TraceSpec
+
+requires_driver = pytest.mark.skipif(
+    not driver_available(), reason="compiled driver kernel not built"
+)
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "multicore.json"
 
@@ -73,7 +86,7 @@ def _traces(mix_key):
     return [spec.build(length=definition["length"]) for spec in _specs(mix_key)]
 
 
-def _run_mix(mix_key, prefetcher="gaze"):
+def _run_mix(mix_key, prefetcher="gaze", kernel="auto"):
     definition = GOLDEN_MIXES[mix_key]
     traces = _traces(mix_key)
     factory = (lambda: create_prefetcher(prefetcher)) if prefetcher else None
@@ -83,6 +96,7 @@ def _run_mix(mix_key, prefetcher="gaze"):
         default_system_config(len(traces)),
         definition["budget"],
         name=mix_key,
+        kernel=kernel,
     )
 
 
@@ -188,16 +202,28 @@ def _store_golden(entry_key, rows):
     )
 
 
-@pytest.mark.parametrize("mix_key", sorted(GOLDEN_MIXES))
-@pytest.mark.parametrize("prefetcher", [None, "gaze"])
-def test_multicore_golden_stats(mix_key, prefetcher):
+# The Python-tier cases keep their historical ids; the compiled ones add
+# a "-compiled" suffix.
+@pytest.mark.parametrize(
+    "mix_key,prefetcher,kernel",
+    [
+        pytest.param(
+            mix_key, prefetcher, kernel,
+            id=f"{prefetcher}-{mix_key}" + ("-compiled" if kernel == "compiled" else ""),
+        )
+        for kernel in ("auto", "compiled")
+        for prefetcher in (None, "gaze")
+        for mix_key in sorted(GOLDEN_MIXES)
+    ],
+)
+def test_multicore_golden_stats(mix_key, prefetcher, kernel):
     entry_key = f"{mix_key}/{prefetcher if prefetcher else 'none'}"
-    result = _run_mix(mix_key, prefetcher=prefetcher)
+    result = _run_mix(mix_key, prefetcher=prefetcher, kernel=kernel)
     rows = {
         str(core_id): _golden_row(stats)
         for core_id, stats in sorted(result.per_core.items())
     }
-    if _REFRESH:
+    if _REFRESH and kernel == "auto":
         _store_golden(entry_key, rows)
     golden = _load_goldens()
     assert entry_key in golden, (
@@ -234,6 +260,191 @@ def test_repeated_run_starts_cold():
     second = reused.run(traces, budget)
     assert first.to_dict() == fresh.to_dict()
     assert second.to_dict() == fresh.to_dict()
+
+
+# --------------------------------------------------------------------------- #
+# Compiled mixes: the C round-robin loop against _CoreContext.step
+# --------------------------------------------------------------------------- #
+#: (generator, seed) per core; lengths differ per core (see _mix_traces).
+DIFF_TRACES = (("spatial", 41), ("cloud", 42), ("streaming", 43), ("graph", 44))
+
+#: Twin-backed designs, the bare core, and bingo, which the C driver hosts
+#: through Python train/on_cache_eviction callbacks.
+DIFF_PREFETCHERS = ("none", "gaze", "pmp", "vberti", "triangel", "bingo")
+
+
+def _mix_traces(cores):
+    """Short heterogeneous traces: core k's holds 300 + 170 * k accesses."""
+    return [
+        TraceSpec(
+            name=f"{generator}-s{seed}", suite="diff", generator=generator,
+            seed=seed, length=300 + 170 * core,
+        ).build()
+        for core, (generator, seed) in enumerate(DIFF_TRACES[:cores])
+    ]
+
+
+def _factory(name):
+    return None if name == "none" else (lambda: create_prefetcher(name))
+
+
+def _compare_tiers(traces, factory, budget, config=None):
+    """Run one mix on both tiers; returns (python, compiled, simulator)."""
+    config = config if config is not None else default_system_config(len(traces))
+    python = simulate_mix(traces, factory, config, budget, name="diff",
+                          kernel="python")
+    simulator = MultiCoreSimulator(len(traces), factory, config, name="diff",
+                                   kernel="compiled")
+    compiled = simulator.run(traces, budget)
+    assert compiled.to_dict() == python.to_dict()
+    return python, compiled, simulator
+
+
+def _conflict_trace(core, accesses, span):
+    """Every access maps to LLC set 0: the cores fight over 16 shared ways."""
+    base = (core + 1) * 0x4000_0000
+    return [
+        MemoryAccess(pc=0x100 + core, address=base + i * span,
+                     instr_gap=1 + core)
+        for i in range(accesses)
+    ]
+
+
+class _RecordingPrefetcher(Prefetcher):
+    """Logs every callback and asks for two L1- and one L2-hinted blocks."""
+
+    name = "recording"
+
+    def __init__(self, raise_at=None):
+        self.trains = []
+        self.evictions = []
+        self.raise_at = raise_at
+        self.error = None
+
+    def train(self, pc, address, cycle, result=None):
+        if len(self.trains) == self.raise_at:
+            self.error = RuntimeError(f"train call {self.raise_at}")
+            raise self.error
+        self.trains.append((pc, address, cycle, result.hit_level, result.latency))
+        block = address >> 6
+        return [
+            PrefetchRequest((block + 1) << 6, PrefetchHint.L1),
+            PrefetchRequest((block + 2) << 6, PrefetchHint.L1),
+            PrefetchRequest((block + 9) << 6, PrefetchHint.L2),
+        ]
+
+    def on_cache_eviction(self, block):
+        self.evictions.append(block)
+
+
+class TestCompiledMix:
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("prefetcher", DIFF_PREFETCHERS)
+    def test_matches_python_schedule(self, prefetcher, cores):
+        # Budgets past one pass of the short traces: cores replay on
+        # exhaust and reach their budgets at different steps, so the C
+        # loop returns (and resumes) at every round-robin position.
+        traces = _mix_traces(cores)
+        budget = 2_600
+        python, _compiled, simulator = _compare_tiers(
+            traces, _factory(prefetcher), budget
+        )
+        assert any(
+            stats.demand_accesses > len(trace)
+            for stats, trace in zip(python.per_core.values(), traces)
+        ), "no core replayed its trace"
+        if driver_available():
+            assert simulator.kernel_decline_reason is None
+
+    @pytest.mark.parametrize("prefetcher", ["none", "gaze", "bingo"])
+    def test_shared_llc_conflicts(self, prefetcher):
+        # Both cores map every access to one LLC set, so shared-LLC
+        # evictions interleave across cores access by access.
+        config = default_system_config(2)
+        span = config.llc.size_bytes // config.llc.ways
+        traces = [_conflict_trace(core, 120, span) for core in range(2)]
+        python, _, _ = _compare_tiers(traces, _factory(prefetcher), 1_500, config)
+        assert all(stats.llc_misses > 0 for stats in python.per_core.values())
+
+    def test_python_callbacks_identical(self):
+        logs = {}
+        for kernel in ("python", "compiled"):
+            prefetchers = []
+
+            def factory():
+                prefetchers.append(_RecordingPrefetcher())
+                return prefetchers[-1]
+
+            result = simulate_mix(_mix_traces(2), factory,
+                                  default_system_config(2), 2_000,
+                                  kernel=kernel)
+            logs[kernel] = (
+                [(p.trains, p.evictions) for p in prefetchers], result.to_dict()
+            )
+        assert logs["compiled"] == logs["python"]
+        assert any(evictions for _, evictions in logs["python"][0])
+
+    def test_raising_train_propagates(self):
+        logs = {}
+        for kernel in ("python", "compiled"):
+            prefetchers = []
+
+            def factory():
+                # Core 1's prefetcher raises on its 150th training call.
+                prefetchers.append(
+                    _RecordingPrefetcher(raise_at=150 if prefetchers else None)
+                )
+                return prefetchers[-1]
+
+            with pytest.raises(RuntimeError) as caught:
+                simulate_mix(_mix_traces(2), factory,
+                             default_system_config(2), 3_000, kernel=kernel)
+            assert caught.value is prefetchers[1].error
+            logs[kernel] = [(p.trains, p.evictions) for p in prefetchers]
+        # No callback runs after the one that raised.
+        assert logs["compiled"] == logs["python"]
+
+    def test_non_power_of_two_llc_declines_and_matches(self):
+        # Three cores scale the LLC to 6 MB: 6,144 sets.
+        _, _, simulator = _compare_tiers(_mix_traces(3), _factory("gaze"), 2_000)
+        if driver_available():
+            assert simulator.kernel_decline_reason == (
+                "non-power-of-two cache set count"
+            )
+
+    def test_file_handles_decline_and_match(self, tmp_path):
+        from repro.workloads import formats as trace_formats
+
+        handles = []
+        for index, trace in enumerate(_mix_traces(2)):
+            path = tmp_path / f"core{index}.gzt.gz"
+            trace_formats.save_trace_file(iter(trace), str(path))
+            handles.append(trace_formats.TraceFile(str(path)))
+        _, _, simulator = _compare_tiers(handles, _factory("pmp"), 2_000)
+        if driver_available():
+            assert simulator.kernel_decline_reason == (
+                "file-backed trace handle in mix"
+            )
+
+    @requires_driver
+    def test_compiled_mix_never_steps_in_python(self, monkeypatch):
+        from repro.sim import multicore
+
+        def forbidden(self):
+            raise AssertionError("the compiled mix stepped a core in Python")
+
+        monkeypatch.setattr(multicore._CoreContext, "step", forbidden)
+        simulator = MultiCoreSimulator(2, _factory("gaze"),
+                                       default_system_config(2),
+                                       kernel="compiled")
+        result = simulator.run(_mix_traces(2), 2_000)
+        assert simulator.kernel_decline_reason is None
+        assert all(stats.instructions >= 2_000
+                   for stats in result.per_core.values())
+
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel mode"):
+            MultiCoreSimulator(2, kernel="fast")
 
 
 # --------------------------------------------------------------------------- #
@@ -282,6 +493,27 @@ class TestMixJobs:
     def test_empty_mix_rejected(self):
         with pytest.raises(ValueError):
             MixSimulationJob(specs=())
+
+    def test_kernel_is_left_out_of_the_key(self):
+        base = _mix_job()
+        compiled = _mix_job(kernel="compiled")
+        assert compiled.key() == base.key()
+        assert "kernel" not in compiled.to_dict()
+        with pytest.raises(ValueError, match="unknown kernel mode"):
+            _mix_job(kernel="fast")
+
+    def test_runner_forwards_kernel(self):
+        from repro.experiments.runner import ExperimentRunner
+
+        runner = ExperimentRunner(use_cache=False, kernel="compiled")
+        job = runner.mix_job_for(_specs("mix2-spatial-streaming"), "gaze")
+        assert job.kernel == "compiled"
+
+    @pytest.mark.parametrize("prefetcher", ["none", "vberti"])
+    def test_compiled_job_matches_python_job(self, prefetcher):
+        python = execute_job(_mix_job(prefetcher=prefetcher, kernel="python"))
+        compiled = execute_job(_mix_job(prefetcher=prefetcher, kernel="compiled"))
+        assert compiled.to_dict() == python.to_dict()
 
     def test_execute_matches_direct_simulation(self):
         job = _mix_job()
