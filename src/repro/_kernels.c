@@ -46,14 +46,14 @@ mask_n(int n)
 
 /* The train kernels are split into pure-C ``*_impl`` bodies writing packed
  * prefetches (``block << 1 | to_l1``) into a per-kernel ``out_buf`` and
- * returning a count (``-1`` maps to Python ``None``), so the compiled
- * driver loop can call them without any per-access Python objects.  This
- * helper rebuilds the exact Python-facing return value for the wrappers. */
+ * returning a count (``-1`` means none), so the compiled driver loop can
+ * call them without any per-access Python objects.  This helper builds
+ * the Python-facing list of packed ints for the wrappers. */
 static PyObject *
 packed_result(const long long *buf, int n)
 {
     if (n < 0)
-        Py_RETURN_NONE;
+        n = 0;
     PyObject *out = PyList_New(n);
     if (!out)
         return NULL;
@@ -571,7 +571,7 @@ Berti_train(BertiKernel *self, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef Berti_methods[] = {
     {"train", (PyCFunction)(void (*)(void))Berti_train, METH_FASTCALL,
-     "One train step; returns a list of packed prefetches or None."},
+     "One train step; returns a list of packed prefetches."},
     {"reset", (PyCFunction)Berti_reset, METH_NOARGS, "Clear all state."},
     {NULL, NULL, 0, NULL},
 };
@@ -639,9 +639,6 @@ typedef struct {
     FTable dpct;
     int dc_value;
     int dc_max;
-    /* origin of the latest emission: (pc, 0="gaze" / 1="gaze-promo") */
-    long long last_pc;
-    int last_meta;
     /* introspection counters */
     long long pht_lookups;
     long long pht_hits;
@@ -722,8 +719,6 @@ Gaze_init(GazeKernel *self, PyObject *args, PyObject *kwds)
     self->dc_max = (1 << dc_bits) - 1;
     self->dc_value = 0;
     self->pht_clock = 0;
-    self->last_pc = 0;
-    self->last_meta = 0;
     self->pht_lookups = self->pht_hits = self->pht_updates = 0;
     self->pht_predictions = self->streaming_predictions = 0;
     self->backup_activations = self->promotions = 0;
@@ -1118,8 +1113,6 @@ gaze_activate_impl(GazeKernel *self, long long region, long long trigger_pc,
     ft_touch(&self->pb, pslot);
     if (!self->pb_pending[pslot])
         return -1;
-    self->last_pc = trigger_pc;
-    self->last_meta = 0; /* "gaze" */
     return pb_pop_requests_impl(self, pslot, region);
 }
 
@@ -1153,8 +1146,6 @@ gaze_train_impl(GazeKernel *self, long long pc, long long address)
         ft_touch(&self->pb, pslot);
         if (!self->pb_pending[pslot])
             return -1;
-        self->last_pc = pc;
-        self->last_meta = 1; /* "gaze-promo" */
         return pb_pop_requests_impl(self, pslot, region);
     }
 
@@ -1232,12 +1223,6 @@ Gaze_drain(GazeKernel *self, PyObject *Py_UNUSED(ignored))
 }
 
 static PyObject *
-Gaze_origin(GazeKernel *self, PyObject *Py_UNUSED(ignored))
-{
-    return Py_BuildValue("(Li)", self->last_pc, self->last_meta);
-}
-
-static PyObject *
 Gaze_counters(GazeKernel *self, PyObject *Py_UNUSED(ignored))
 {
     return Py_BuildValue(
@@ -1270,13 +1255,11 @@ Gaze_reset(GazeKernel *self, PyObject *Py_UNUSED(ignored))
 
 static PyMethodDef Gaze_methods[] = {
     {"train", (PyCFunction)(void (*)(void))Gaze_train, METH_FASTCALL,
-     "One train step; returns a list of packed prefetches or None."},
+     "One train step; returns a list of packed prefetches."},
     {"evict", (PyCFunction)Gaze_evict, METH_O,
      "Deactivate the region of an evicted block."},
     {"drain", (PyCFunction)Gaze_drain, METH_NOARGS,
      "Deactivate all tracked regions (learns their footprints)."},
-    {"origin", (PyCFunction)Gaze_origin, METH_NOARGS,
-     "(pc, meta_code) of the most recent emission; 1 means gaze-promo."},
     {"counters", (PyCFunction)Gaze_counters, METH_NOARGS,
      "(pht_lookups, pht_hits, pht_updates, pht_predictions, "
      "streaming_predictions, backup_activations, promotions)."},
@@ -1580,7 +1563,7 @@ PMP_reset(PMPKernel *self, PyObject *Py_UNUSED(ignored))
 
 static PyMethodDef PMP_methods[] = {
     {"train", (PyCFunction)(void (*)(void))PMP_train, METH_FASTCALL,
-     "One train step; returns a list of packed prefetches or None."},
+     "One train step; returns a list of packed prefetches."},
     {"evict", (PyCFunction)PMP_evict, METH_O,
      "Deactivate (and merge) the region of an evicted block."},
     {"reset", (PyCFunction)PMP_reset, METH_NOARGS, "Clear all state."},
@@ -1905,7 +1888,7 @@ Triangel_reset(TriangelKernel *self, PyObject *Py_UNUSED(ignored))
 
 static PyMethodDef Triangel_methods[] = {
     {"train", (PyCFunction)(void (*)(void))Triangel_train, METH_FASTCALL,
-     "One miss-stream train step; returns packed prefetches or None."},
+     "One miss-stream train step; returns a list of packed prefetches."},
     {"reset", (PyCFunction)Triangel_reset, METH_NOARGS, "Clear all state."},
     {NULL, NULL, 0, NULL},
 };
@@ -1977,7 +1960,7 @@ enum {
 enum { RES_L1, RES_L2, RES_LLC, RES_DRAM, RES_INFLIGHT, RES_COUNT };
 
 /* Interned attribute names of the Python callback protocol. */
-static PyObject *str_latency, *str_served, *str_late, *str_address, *str_hint;
+static PyObject *str_latency, *str_served, *str_late;
 
 /* One set-associative cache level: rows stored LRU -> MRU (index 0 is
  * the eviction victim, mirroring dict insertion order in the oracle). */
@@ -2174,7 +2157,6 @@ typedef struct {
     int ptype;
     PyObject *pf_kernel;
     PyObject *py_evict;              /* on_cache_eviction or NULL      */
-    PyObject *py_hint_l1;            /* PrefetchHint.L1                */
     PyObject *py_results[RES_COUNT]; /* reused AccessResult objects    */
     int cb_failed;                   /* a callback raised              */
     /* decoded-trace identity cache                                    */
@@ -2599,8 +2581,8 @@ drv_issue_prefetch(DriverKernel *d, long long p, long long cycle)
 }
 
 /* In-process train dispatch (packed requests without the Python
- * boundary).  Returns the packed count, -1 for "nothing" (None / the
- * Triangel L1-hit gate), and points *buf at the kernel's out_buf. */
+ * boundary).  Returns the packed count, -1 for "nothing" (no prefetch /
+ * the Triangel L1-hit gate), and points *buf at the kernel's out_buf. */
 static int
 drv_train(DriverKernel *d, long long pc, long long address,
           long long cycle, long long latency, int l1_hit,
@@ -2672,8 +2654,8 @@ set_long_attr(PyObject *obj, PyObject *name, long long value)
 /* One DRV_PF_PYTHON train step, the Python driver's object-protocol
  * branch: update the reused result exactly as the Python driver does
  * for the serving level, call train(pc, addr, cycle, result), and
- * enqueue each accepted request packed as
- * (address >> 6) << 1 | (hint is PrefetchHint.L1). */
+ * enqueue each accepted packed int (block << 1 | to_l1) as returned.
+ * An item that is not an int fails the call and is never enqueued. */
 static void
 drv_py_train(DriverKernel *d, long long pc, long long addr, long long cycle,
              long long latency, int served_by, int first_use)
@@ -2726,17 +2708,10 @@ drv_py_train(DriverKernel *d, long long pc, long long addr, long long cycle,
     Py_ssize_t total = PySequence_Fast_GET_SIZE(seq);
     long long accepted = 0;
     for (Py_ssize_t i = 0; i < total && d->pq_n < d->pq_cap; i++) {
-        PyObject *request = PySequence_Fast_GET_ITEM(seq, i);
-        PyObject *a = PyObject_GetAttr(request, str_address);
-        long long address = a ? PyLong_AsLongLong(a) : -1;
-        Py_XDECREF(a);
-        if (address == -1 && PyErr_Occurred())
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
+        long long packed = PyLong_AsLongLong(item);
+        if (packed == -1 && PyErr_Occurred())
             goto fail_seq;
-        PyObject *hint = PyObject_GetAttr(request, str_hint);
-        if (hint == NULL)
-            goto fail_seq;
-        long long packed = (address >> 6) * 2 + (hint == d->py_hint_l1);
-        Py_DECREF(hint);
         int tail = d->pq_head + d->pq_n;
         if (tail >= d->pq_cap)
             tail -= d->pq_cap;
@@ -3476,7 +3451,6 @@ drv_clear_refs(DriverKernel *d)
 {
     Py_CLEAR(d->pf_kernel);
     Py_CLEAR(d->py_evict);
-    Py_CLEAR(d->py_hint_l1);
     for (int i = 0; i < RES_COUNT; i++)
         Py_CLEAR(d->py_results[i]);
     Py_CLEAR(d->tr_key_addr);
@@ -3507,8 +3481,8 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
         "dram_channels", "dram_banks", "dram_row_div", "dram_row_hit",
         "dram_row_miss", "dram_transfer",
         "width", "fetch_increment", "rob", "lq", "miss_limit",
-        "miss_threshold", "ptype", "kernel", "evict", "results", "hint_l1",
-        "shared", NULL,
+        "miss_threshold", "ptype", "kernel", "evict", "results", "shared",
+        NULL,
     };
     int l1_sets, l1_ways, l2_sets, l2_ways, llc_sets, llc_ways;
     long long lat_l1, lat_l2, lat_llc, lat_l2_source, lat_llc_source;
@@ -3522,17 +3496,16 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
     int miss_limit;
     long long miss_threshold;
     int ptype;
-    PyObject *kernel, *evict, *results, *hint_l1, *shared = Py_None;
+    PyObject *kernel, *evict, *results, *shared = Py_None;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "iiiiiiLLLLLiiiiiLLLdidLLiLiOOOO|O", kwlist,
+            args, kwds, "iiiiiiLLLLLiiiiiLLLdidLLiLiOOO|O", kwlist,
             &l1_sets, &l1_ways, &l2_sets, &l2_ways, &llc_sets, &llc_ways,
             &lat_l1, &lat_l2, &lat_llc, &lat_l2_source, &lat_llc_source,
             &mshr_capacity, &pq_capacity, &pq_drain,
             &dram_channels, &dram_banks, &dram_row_div, &dram_row_hit,
             &dram_row_miss, &dram_transfer,
             &width, &fetch_increment, &rob, &lq, &miss_limit,
-            &miss_threshold, &ptype, &kernel, &evict, &results, &hint_l1,
-            &shared))
+            &miss_threshold, &ptype, &kernel, &evict, &results, &shared))
         return -1;
     if (!drv_pow2(l1_sets) || !drv_pow2(l2_sets) || !drv_pow2(llc_sets)
         || l1_ways < 1 || l2_ways < 1 || llc_ways < 1) {
@@ -3688,8 +3661,6 @@ Driver_init(DriverKernel *self, PyObject *args, PyObject *kwds)
             Py_INCREF(evict);
             self->py_evict = evict;
         }
-        Py_INCREF(hint_l1);
-        self->py_hint_l1 = hint_l1;
         for (int i = 0; i < RES_COUNT; i++) {
             self->py_results[i] = PyTuple_GET_ITEM(results, i);
             Py_INCREF(self->py_results[i]);
@@ -4175,9 +4146,7 @@ PyInit__kernels(void)
     str_latency = PyUnicode_InternFromString("latency");
     str_served = PyUnicode_InternFromString("served_by_prefetch");
     str_late = PyUnicode_InternFromString("late_prefetch");
-    str_address = PyUnicode_InternFromString("address");
-    str_hint = PyUnicode_InternFromString("hint");
-    if (!str_latency || !str_served || !str_late || !str_address || !str_hint)
+    if (!str_latency || !str_served || !str_late)
         return NULL;
     m = PyModule_Create(&kernels_module);
     if (!m)
@@ -4215,7 +4184,7 @@ PyInit__kernels(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "KERNELS_ABI", 5) < 0) {
+    if (PyModule_AddIntConstant(m, "KERNELS_ABI", 6) < 0) {
         Py_DECREF(m);
         return NULL;
     }

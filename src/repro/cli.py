@@ -127,12 +127,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="accesses per trace (default 12000)")
     run.add_argument("--traces-per-suite", type=int, default=None, metavar="K",
                      help="traces per suite (default 3; 0 = all)")
-    run.add_argument("--batch", choices=("auto", "on", "off"), default="auto",
+    run.add_argument("--batch", choices=("auto", "off"), default="auto",
                      help="simulation kernel for single-core jobs: batched "
-                          "over array-decoded traces when decodable (auto, "
-                          "default), always decode incl. file traces (on), "
-                          "or the scalar kernel (off); statistics are "
-                          "bit-identical either way")
+                          "over array-decoded traces (auto, default) or the "
+                          "scalar kernel (off); statistics are bit-identical "
+                          "either way")
     run.add_argument("--kernel", choices=("auto", "python", "compiled"),
                      default="auto",
                      help="prefetcher-state tier for single-core and mix "

@@ -37,12 +37,7 @@ from repro.core.pattern_history import GazePatternHistoryTable
 from repro.core.prefetch_buffer import GazePrefetchBuffer
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.spatial_common import footprint_to_offsets
-from repro.sim.types import (
-    AccessResult,
-    PrefetchHint,
-    PrefetchRequest,
-    RegionGeometry,
-)
+from repro.sim.types import AccessResult, RegionGeometry
 
 
 @dataclass(frozen=True)
@@ -134,7 +129,7 @@ class GazePrefetcher(Prefetcher):
     # ------------------------------------------------------------------ #
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         region, offset = self._split(address)
 
         # Tracked region: inlined AT lookup (dict get + LRU re-order), then
@@ -162,8 +157,6 @@ class GazePrefetcher(Prefetcher):
             return self.prefetch_buffer.pop_requests(
                 region,
                 self.config.region_size,
-                pc=pc,
-                metadata="gaze-promo",
                 limit=self.config.pb_issue_per_access,
             )
 
@@ -184,7 +177,7 @@ class GazePrefetcher(Prefetcher):
     # ------------------------------------------------------------------ #
     def _activate_region(
         self, region: int, ft_entry, second_offset: int, second_pc: int
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         trigger_offset = ft_entry.trigger_offset
         trigger_pc = ft_entry.trigger_pc
         stride_flag = False
@@ -222,8 +215,6 @@ class GazePrefetcher(Prefetcher):
         return self.prefetch_buffer.pop_requests(
             region,
             self.config.region_size,
-            pc=trigger_pc,
-            metadata="gaze",
             limit=self.config.pb_issue_per_access,
         )
 

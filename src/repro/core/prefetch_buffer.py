@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.prefetchers.tables import LRUTable
-from repro.sim.types import (
-    PrefetchHint,
-    PrefetchRequest,
-    address_from_region_offset,
-)
+from repro.sim.types import PrefetchHint, address_from_region_offset, pack_prefetch
 
 
 class BlockPrefetchState(enum.IntEnum):
@@ -144,11 +140,9 @@ class GazePrefetchBuffer:
         self,
         region: int,
         region_size: int,
-        pc: int = 0,
-        metadata: str = "",
         limit: Optional[int] = None,
-    ) -> List[PrefetchRequest]:
-        """Convert the pending pattern of ``region`` into prefetch requests.
+    ) -> List[int]:
+        """Convert the pending pattern of ``region`` into packed requests.
 
         Requests are emitted in ascending block-offset order (the order the
         demand stream will want them) and at most ``limit`` per call, which
@@ -161,7 +155,7 @@ class GazePrefetchBuffer:
         if entry is None or entry.pending == 0:
             return []
         states = entry.states
-        requests: List[PrefetchRequest] = []
+        requests: List[int] = []
         issued_state = BlockPrefetchState.ISSUED
         to_l1 = BlockPrefetchState.TO_L1
         l1_hint = PrefetchHint.L1
@@ -173,11 +167,8 @@ class GazePrefetchBuffer:
                 continue
             hint = l1_hint if state is to_l1 else l2_hint
             requests.append(
-                PrefetchRequest(
-                    address_from_region_offset(region, offset, region_size),
-                    hint,
-                    pc,
-                    metadata,
+                pack_prefetch(
+                    address_from_region_offset(region, offset, region_size), hint
                 )
             )
             states[offset] = issued_state

@@ -32,7 +32,6 @@ from repro.prefetchers.tables import LRUTable
 from repro.sim.types import (
     AccessResult,
     PrefetchHint,
-    PrefetchRequest,
     address_from_region_offset,
     block_offset_in_region,
     region_number,
@@ -89,7 +88,7 @@ class ContextCharacterizationPrefetcher(Prefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         trigger, _activation, deactivations, _entry = self.tracker.observe(pc, address)
 
         for event in deactivations:
@@ -109,8 +108,6 @@ class ContextCharacterizationPrefetcher(Prefetcher):
             region_size=self.region_size,
             hint=PrefetchHint.L1,
             exclude_offsets=(trigger.offset,),
-            pc=trigger.pc,
-            metadata=self.name,
         )
 
     def on_cache_eviction(self, block: int) -> None:
@@ -241,9 +238,7 @@ class StreamingOnlyGaze(GazePrefetcher):
         )
         if evicted is not None:
             self._learn(evicted)
-        return self.prefetch_buffer.pop_requests(
-            region, self.config.region_size, pc=ft_entry.trigger_pc, metadata="pht4ss"
-        )
+        return self.prefetch_buffer.pop_requests(region, self.config.region_size)
 
     def _learn(self, entry) -> None:
         streaming_candidate = self._is_streaming_candidate(
@@ -311,7 +306,7 @@ class NInitialAccessGaze(Prefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         region = region_number(address, self.region_size)
         offset = block_offset_in_region(address, self.region_size)
 
@@ -335,8 +330,6 @@ class NInitialAccessGaze(Prefetcher):
                 region_size=self.region_size,
                 hint=PrefetchHint.L1,
                 exclude_offsets=entry.initial_offsets,
-                pc=pc,
-                metadata=self.name,
             )
         return []
 

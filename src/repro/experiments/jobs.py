@@ -61,8 +61,8 @@ class SimulationJob:
     ``batch`` selects the simulation kernel (see
     :meth:`repro.sim.simulator.SingleCoreSimulator.run`): ``"auto"`` (the
     default) runs generated traces through the batched kernel with a
-    per-process decoded-trace memo, ``"off"`` forces the scalar kernel and
-    ``"on"`` additionally decodes file-backed traces.  Like
+    per-process decoded-trace memo (file-backed traces chunk by chunk) and
+    ``"off"`` forces the scalar kernel.  Like
     :attr:`MixSimulationJob.kernel` it is an *execution* detail — results
     are bit-identical for every value — so it is deliberately excluded
     from :meth:`to_dict` and :meth:`key`.
@@ -305,12 +305,9 @@ def _trace_for_job(job: SimulationJob):
     which falls back to the materialized list.  File-backed specs return a
     re-openable streaming handle so the simulation runs in O(1) memory
     whatever the trace length (the content digest in the job key keeps
-    cache identity exact); ``batch="on"`` decodes them instead, trading the
-    O(1) memory for the batched kernel's throughput.
+    cache identity exact).
     """
     if job.spec.source is not None:
-        if job.batch == "on":
-            return job.spec.batched(length=job.trace_length)
         return job.spec.replayable(length=job.trace_length)
     if job.batch == "off":
         return build_trace_cached(job.spec, job.trace_length)

@@ -194,7 +194,7 @@ class ExperimentRunner:
             strict: re-raise on exhausted retries instead of returning
                 failure-marked cells.
             batch: simulation-kernel selection forwarded to every
-                single-core job (``"auto"``/``"on"``/``"off"``, see
+                single-core job (``"auto"``/``"off"``, see
                 :class:`~repro.experiments.jobs.SimulationJob`); results
                 are bit-identical for every value.
             kernel: prefetcher-state tier forwarded to every job,

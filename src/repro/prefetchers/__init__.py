@@ -2,9 +2,11 @@
 
 Every prefetcher implements :class:`repro.prefetchers.base.Prefetcher`:
 ``train(pc, address, cycle, result)`` consumes one demand load and returns a
-list of :class:`repro.sim.types.PrefetchRequest`.  The registry maps the
-names used throughout the paper's figures ("sms", "bingo", "dspatch",
-"pmp", "ipcp", "spp-ppf", "vberti", "ip-stride", "gaze", ...) to factories.
+list of packed prefetch requests, ints built by
+:func:`repro.sim.types.pack_prefetch` (``block << 1 | to_l1``).  The
+registry maps the names used throughout the paper's figures ("sms",
+"bingo", "dspatch", "pmp", "ipcp", "spp-ppf", "vberti", "ip-stride",
+"gaze", ...) to factories.
 """
 
 from repro.prefetchers.base import Prefetcher, StatelessPrefetcher

@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 from typing import List, Optional
 
-from repro.sim.types import AccessResult, PrefetchHint, PrefetchRequest
+from repro.sim.types import AccessResult, pack_prefetch
 
 
 class Prefetcher(abc.ABC):
@@ -23,7 +23,7 @@ class Prefetcher(abc.ABC):
     @abc.abstractmethod
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         """Observe one demand load and return prefetch candidates.
 
         Args:
@@ -35,7 +35,8 @@ class Prefetcher(abc.ABC):
                 ignore it.
 
         Returns:
-            A (possibly empty) list of :class:`PrefetchRequest`.
+            A (possibly empty) list of prefetches, each packed by
+            :func:`~repro.sim.types.pack_prefetch` (``block << 1 | to_l1``).
         """
 
     def storage_bits(self) -> int:
@@ -62,18 +63,9 @@ class Prefetcher(abc.ABC):
         implementation ignores the event.
         """
 
-    # Convenience helpers -------------------------------------------------- #
-    @staticmethod
-    def request(
-        address: int,
-        hint: PrefetchHint = PrefetchHint.L1,
-        pc: int = 0,
-        metadata: str = "",
-    ) -> PrefetchRequest:
-        """Build a :class:`PrefetchRequest` (small readability helper)."""
-        return PrefetchRequest(
-            address=address, hint=hint, origin_pc=pc, metadata=metadata
-        )
+    #: ``request(address, hint=PrefetchHint.L1)`` packs one prefetch
+    #: (small readability helper; see :func:`~repro.sim.types.pack_prefetch`).
+    request = staticmethod(pack_prefetch)
 
 
 class StatelessPrefetcher(Prefetcher):

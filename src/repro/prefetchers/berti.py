@@ -27,13 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.tables import LRUTable
-from repro.sim.types import (
-    AccessResult,
-    BLOCK_SIZE,
-    PrefetchHint,
-    PrefetchRequest,
-    block_number,
-)
+from repro.sim.types import AccessResult, block_number
 
 
 @dataclass(slots=True)
@@ -108,7 +102,7 @@ class BertiPrefetcher(Prefetcher):
     # ------------------------------------------------------------------ #
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         block = block_number(address)
         key = pc & 0xFFFF
         pc_entries = self._pc_entries
@@ -127,7 +121,7 @@ class BertiPrefetcher(Prefetcher):
         if len(history) > self.history_per_pc:
             history.pop(0)
 
-        return self._issue(state, block, pc)
+        return self._issue(state, block)
 
     def _learn_deltas(
         self, state: _PCState, block: int, cycle: int, latency: int
@@ -191,7 +185,7 @@ class BertiPrefetcher(Prefetcher):
                 score.occurrences = max(1, score.occurrences // 2)
                 score.timely //= 2
 
-    def _issue(self, state: _PCState, block: int, pc: int) -> List[PrefetchRequest]:
+    def _issue(self, state: _PCState, block: int) -> List[int]:
         rounds = state.rounds
         if not rounds:
             return []
@@ -209,7 +203,7 @@ class BertiPrefetcher(Prefetcher):
         if not candidates:
             return []
         candidates.sort(reverse=True)
-        requests: List[PrefetchRequest] = []
+        requests: List[int] = []
         window_blocks = self._window_blocks
         deltas = state.deltas
         l1_confidence = self.l1_confidence
@@ -219,15 +213,14 @@ class BertiPrefetcher(Prefetcher):
                 continue
             # High-confidence, timely deltas go to the L1D; accurate but
             # late (or lower-confidence) deltas are demoted to the L2C --
-            # Berti's level selection by certainty/timeliness.
-            hint = PrefetchHint.L2
+            # Berti's level selection by certainty/timeliness.  Packed as
+            # :func:`~repro.sim.types.pack_prefetch` does.
+            to_l1 = 0
             if confidence >= l1_confidence:
                 score = deltas[delta]
                 if score.timely / score.occurrences >= 0.5:
-                    hint = PrefetchHint.L1
-            requests.append(
-                PrefetchRequest(target * BLOCK_SIZE, hint, pc, "berti")
-            )
+                    to_l1 = 1
+            requests.append(target << 1 | to_l1)
         return requests
 
     def storage_bits(self) -> int:

@@ -20,7 +20,7 @@ from repro.prefetchers.spatial_common import (
     rotate_footprint,
 )
 from repro.prefetchers.tables import LRUTable
-from repro.sim.types import AccessResult, PrefetchHint, PrefetchRequest
+from repro.sim.types import AccessResult, PrefetchHint
 
 
 class BingoPrefetcher(Prefetcher):
@@ -58,7 +58,7 @@ class BingoPrefetcher(Prefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         trigger, _activation, deactivations, _entry = self.tracker.observe(pc, address)
 
         for event in deactivations:
@@ -86,8 +86,6 @@ class BingoPrefetcher(Prefetcher):
             region_size=self.region_size,
             hint=PrefetchHint.L1,
             exclude_offsets=(trigger.offset,),
-            pc=trigger.pc,
-            metadata="bingo",
         )
 
     def _learn(self, event) -> None:

@@ -18,7 +18,6 @@ from repro.sim.types import (
     AccessResult,
     BLOCK_SIZE,
     PrefetchHint,
-    PrefetchRequest,
     block_number,
 )
 
@@ -54,7 +53,7 @@ class BestOffsetPrefetcher(Prefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         block = block_number(address)
 
         # Learning: test the current candidate offset against this access.
@@ -70,7 +69,7 @@ class BestOffsetPrefetcher(Prefetcher):
         if not self.prefetch_enabled:
             return []
         target = block + self.best_offset
-        return [self.request(target * BLOCK_SIZE, PrefetchHint.L1, pc)]
+        return [self.request(target * BLOCK_SIZE, PrefetchHint.L1)]
 
     # ------------------------------------------------------------------ #
     def _advance_candidate(self) -> None:

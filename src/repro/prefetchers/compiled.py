@@ -29,7 +29,7 @@ from repro.core.gaze import GazePrefetcher
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.pmp import PMPPrefetcher
 from repro.prefetchers.temporal import TriangelPrefetcher
-from repro.sim.types import BLOCK_SIZE, PrefetchHint, PrefetchRequest
+from repro.sim.types import BLOCK_SIZE
 
 try:  # pragma: no cover - exercised only when the extension is built
     from repro import _kernels
@@ -93,17 +93,9 @@ class CompiledBertiPrefetcher(BertiPrefetcher):
         )
         self._ktrain = self._kernel.train
 
-    def train(self, pc, address, cycle, result=None) -> List[PrefetchRequest]:
+    def train(self, pc, address, cycle, result=None) -> List[int]:
         latency = result.latency if result is not None else self.fetch_latency
-        packed = self._ktrain(pc, address, cycle, latency)
-        if not packed:
-            return []
-        l1 = PrefetchHint.L1
-        l2 = PrefetchHint.L2
-        return [
-            PrefetchRequest((p >> 1) * BLOCK_SIZE, l1 if p & 1 else l2, pc, "berti")
-            for p in packed
-        ]
+        return self._ktrain(pc, address, cycle, latency)
 
     def reset(self) -> None:
         super().reset()
@@ -115,16 +107,14 @@ class CompiledGazePrefetcher(GazePrefetcher):
 
     Requires ``blocks_per_region <= 64`` (region footprints are single
     64-bit masks in C) and a ``region_size`` that is a multiple of the
-    block size (packed block numbers must map back to exact byte
-    addresses); :func:`compiled_twin` enforces both.
+    block size (the kernel forms target block numbers from whole-block
+    regions); :func:`compiled_twin` enforces both.
 
     The introspection counters (``pht.lookups``/``hits``/``updates``,
     ``pht_predictions`` … ``promotions``) live on the C side while
     training runs and are written onto the object layout by
     :meth:`drain`; read them after draining, not mid-stream.
     """
-
-    _META = ("gaze", "gaze-promo")
 
     def __init__(self, config=None) -> None:
         super().__init__(config)
@@ -156,18 +146,8 @@ class CompiledGazePrefetcher(GazePrefetcher):
         )
         self._ktrain = self._kernel.train
 
-    def train(self, pc, address, cycle, result=None) -> List[PrefetchRequest]:
-        packed = self._ktrain(pc, address)
-        if not packed:
-            return []
-        req_pc, meta_code = self._kernel.origin()
-        meta = self._META[meta_code]
-        l1 = PrefetchHint.L1
-        l2 = PrefetchHint.L2
-        return [
-            PrefetchRequest((p >> 1) * BLOCK_SIZE, l1 if p & 1 else l2, req_pc, meta)
-            for p in packed
-        ]
+    def train(self, pc, address, cycle, result=None) -> List[int]:
+        return self._ktrain(pc, address)
 
     def on_cache_eviction(self, block: int) -> None:
         self._kernel.evict(block)
@@ -219,16 +199,8 @@ class CompiledPMPPrefetcher(PMPPrefetcher):
         )
         self._ktrain = self._kernel.train
 
-    def train(self, pc, address, cycle, result=None) -> List[PrefetchRequest]:
-        packed = self._ktrain(pc, address)
-        if not packed:
-            return []
-        l1 = PrefetchHint.L1
-        l2 = PrefetchHint.L2
-        return [
-            PrefetchRequest((p >> 1) * BLOCK_SIZE, l1 if p & 1 else l2, pc, "pmp")
-            for p in packed
-        ]
+    def train(self, pc, address, cycle, result=None) -> List[int]:
+        return self._ktrain(pc, address)
 
     def on_cache_eviction(self, block: int) -> None:
         self._kernel.evict(block)
@@ -264,17 +236,10 @@ class CompiledTriangelPrefetcher(TriangelPrefetcher):
         )
         self._ktrain = self._kernel.train
 
-    def train(self, pc, address, cycle, result=None) -> List[PrefetchRequest]:
+    def train(self, pc, address, cycle, result=None) -> List[int]:
         if result is not None and result.hit_level == "L1D":
             return []  # the training unit observes the L1 miss stream
-        packed = self._ktrain(pc, address)
-        if not packed:
-            return []
-        l1 = PrefetchHint.L1
-        return [
-            PrefetchRequest((p >> 1) * BLOCK_SIZE, l1, pc, "")
-            for p in packed
-        ]
+        return self._ktrain(pc, address)
 
     def reset(self) -> None:
         super().reset()

@@ -27,7 +27,7 @@ from repro.prefetchers.spatial_common import (
     rotate_footprint,
 )
 from repro.prefetchers.tables import LRUTable
-from repro.sim.types import AccessResult, PrefetchHint, PrefetchRequest
+from repro.sim.types import AccessResult, PrefetchHint
 
 
 @dataclass(slots=True)
@@ -64,7 +64,7 @@ class DSPatchPrefetcher(Prefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         if result is not None:
             self._latency_ema = 0.95 * self._latency_ema + 0.05 * result.latency
 
@@ -96,8 +96,6 @@ class DSPatchPrefetcher(Prefetcher):
             region_size=self.region_size,
             hint=PrefetchHint.L1,
             exclude_offsets=(trigger.offset,),
-            pc=trigger.pc,
-            metadata="dspatch-acc" if bandwidth_constrained else "dspatch-cov",
         )
 
     def on_cache_eviction(self, block: int) -> None:

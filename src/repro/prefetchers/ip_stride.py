@@ -18,7 +18,6 @@ from repro.sim.types import (
     AccessResult,
     BLOCK_SIZE,
     PrefetchHint,
-    PrefetchRequest,
     block_number,
 )
 
@@ -49,7 +48,7 @@ class IPStridePrefetcher(Prefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         block = block_number(address)
         entry = self.table.get(pc)
         if entry is None:
@@ -57,7 +56,7 @@ class IPStridePrefetcher(Prefetcher):
             return []
 
         stride = block - entry.last_block
-        requests: List[PrefetchRequest] = []
+        requests: List[int] = []
         if stride != 0:
             if stride == entry.stride:
                 entry.confidence = min(self.max_confidence, entry.confidence + 1)
@@ -71,7 +70,7 @@ class IPStridePrefetcher(Prefetcher):
                     if target < 0:
                         break
                     requests.append(
-                        self.request(target * BLOCK_SIZE, PrefetchHint.L1, pc)
+                        self.request(target * BLOCK_SIZE, PrefetchHint.L1)
                     )
         entry.last_block = block
         return requests

@@ -26,7 +26,6 @@ from repro.sim.types import (
     AccessResult,
     BLOCK_SIZE,
     PrefetchHint,
-    PrefetchRequest,
     block_number,
     block_offset_in_region,
     region_number,
@@ -80,7 +79,7 @@ class IPCPPrefetcher(Prefetcher):
     # ------------------------------------------------------------------ #
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         block = block_number(address)
         region = region_number(address, self.region_size)
         offset = block_offset_in_region(address, self.region_size)
@@ -95,7 +94,7 @@ class IPCPPrefetcher(Prefetcher):
             return []
 
         stride = block - entry.last_block
-        requests: List[PrefetchRequest] = []
+        requests: List[int] = []
 
         if stride != 0:
             # --- constant-stride classification -------------------------- #
@@ -124,7 +123,7 @@ class IPCPPrefetcher(Prefetcher):
             if stream_dense:
                 for i in range(1, self.gs_degree + 1):
                     requests.append(
-                        self.request((block + i) * BLOCK_SIZE, PrefetchHint.L1, pc, "gs")
+                        self.request((block + i) * BLOCK_SIZE, PrefetchHint.L1)
                     )
             elif entry.stride_confidence >= 2 and entry.last_stride != 0:
                 for i in range(1, self.cs_degree + 1):
@@ -132,7 +131,7 @@ class IPCPPrefetcher(Prefetcher):
                     if target < 0:
                         break
                     requests.append(
-                        self.request(target * BLOCK_SIZE, PrefetchHint.L1, pc, "cs")
+                        self.request(target * BLOCK_SIZE, PrefetchHint.L1)
                     )
             else:
                 cspt_entry = self.cspt.get(entry.signature, touch=False)
@@ -140,9 +139,7 @@ class IPCPPrefetcher(Prefetcher):
                     target = block + cspt_entry[0]
                     if target >= 0:
                         requests.append(
-                            self.request(
-                                target * BLOCK_SIZE, PrefetchHint.L1, pc, "cplx"
-                            )
+                            self.request(target * BLOCK_SIZE, PrefetchHint.L1)
                         )
 
         entry.last_block = block

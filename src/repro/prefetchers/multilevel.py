@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.prefetchers.base import Prefetcher
-from repro.sim.types import AccessResult, PrefetchHint, PrefetchRequest
+from repro.sim.types import AccessResult
 
 
 class MultiLevelPrefetcher(Prefetcher):
@@ -26,20 +26,14 @@ class MultiLevelPrefetcher(Prefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         requests = list(self.l1.train(pc, address, cycle, result))
 
         l1_missed = result is None or result.hit_level != "L1D"
         if l1_missed:
-            for request in self.l2.train(pc, address, cycle, result):
-                requests.append(
-                    PrefetchRequest(
-                        address=request.address,
-                        hint=PrefetchHint.L2,
-                        origin_pc=request.origin_pc,
-                        metadata=f"l2:{request.metadata or self.l2.name}",
-                    )
-                )
+            # Demote to an L2 fill: clear the packed to-L1 bit.
+            l2_requests = self.l2.train(pc, address, cycle, result)
+            requests.extend(p & ~1 for p in l2_requests)
         return requests
 
     def on_cache_eviction(self, block: int) -> None:

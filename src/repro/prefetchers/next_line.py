@@ -9,7 +9,6 @@ from repro.sim.types import (
     AccessResult,
     BLOCK_SIZE,
     PrefetchHint,
-    PrefetchRequest,
     block_number,
 )
 
@@ -26,9 +25,9 @@ class NextLinePrefetcher(StatelessPrefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         base_block = block_number(address)
         return [
-            self.request((base_block + i) * BLOCK_SIZE, PrefetchHint.L1, pc)
+            self.request((base_block + i) * BLOCK_SIZE, PrefetchHint.L1)
             for i in range(1, self.degree + 1)
         ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.prefetchers.base import StatelessPrefetcher
-from repro.sim.types import AccessResult, PrefetchRequest
+from repro.sim.types import AccessResult
 
 
 class NoPrefetcher(StatelessPrefetcher):
@@ -15,5 +15,5 @@ class NoPrefetcher(StatelessPrefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         return []

@@ -15,11 +15,7 @@ from typing import List, Optional
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.spatial_common import RegionTracker
-from repro.sim.types import (
-    AccessResult,
-    PrefetchHint,
-    PrefetchRequest,
-)
+from repro.sim.types import AccessResult
 
 
 class PMPPrefetcher(Prefetcher):
@@ -82,7 +78,7 @@ class PMPPrefetcher(Prefetcher):
     # ------------------------------------------------------------------ #
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         trigger, _activation, deactivations, _entry = self._observe(pc, address)
 
         for event in deactivations:
@@ -90,7 +86,7 @@ class PMPPrefetcher(Prefetcher):
 
         if trigger is None:
             return []
-        return self._predict(trigger.region, trigger.offset, trigger.pc)
+        return self._predict(trigger.region, trigger.offset)
 
     def on_cache_eviction(self, block: int) -> None:
         event = self.tracker.on_block_eviction(block)
@@ -132,9 +128,7 @@ class PMPPrefetcher(Prefetcher):
                     counters[block] -= 1
                 value ^= low
 
-    def _predict(
-        self, region: int, trigger_offset: int, pc: int
-    ) -> List[PrefetchRequest]:
+    def _predict(self, region: int, trigger_offset: int) -> List[int]:
         counters = self.offset_pattern_table[trigger_offset]
         observed = self.merge_counts[trigger_offset]
         if observed == 0:
@@ -143,12 +137,10 @@ class PMPPrefetcher(Prefetcher):
         scale = observed if observed < max_confidence else max_confidence
         l1_min = self._l1_min[scale]
         l2_min = self._l2_min[scale]
-        requests: List[PrefetchRequest] = []
+        requests: List[int] = []
         blocks = self.blocks
         anchor = self.anchor_patterns
         region_base = region * self.region_size
-        l1_hint = PrefetchHint.L1
-        l2_hint = PrefetchHint.L2
         append = requests.append
         for block, count in enumerate(counters):
             if count < l2_min:
@@ -156,11 +148,8 @@ class PMPPrefetcher(Prefetcher):
             target_offset = (block + trigger_offset) % blocks if anchor else block
             if target_offset == trigger_offset:
                 continue
-            hint = l1_hint if count >= l1_min else l2_hint
             append(
-                PrefetchRequest(
-                    region_base + (target_offset << 6), hint, pc, "pmp"
-                )
+                (region_base + (target_offset << 6)) >> 6 << 1 | (count >= l1_min)
             )
         return requests
 

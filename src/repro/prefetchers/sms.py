@@ -22,7 +22,7 @@ from repro.prefetchers.spatial_common import (
     rotate_footprint,
 )
 from repro.prefetchers.tables import LRUTable
-from repro.sim.types import AccessResult, PrefetchHint, PrefetchRequest
+from repro.sim.types import AccessResult, PrefetchHint
 
 
 class SMSPrefetcher(Prefetcher):
@@ -52,7 +52,7 @@ class SMSPrefetcher(Prefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         trigger, _activation, deactivations, _entry = self.tracker.observe(pc, address)
 
         for event in deactivations:
@@ -71,8 +71,6 @@ class SMSPrefetcher(Prefetcher):
             region_size=self.region_size,
             hint=PrefetchHint.L1,
             exclude_offsets=(trigger.offset,),
-            pc=trigger.pc,
-            metadata="sms",
         )
 
     def _learn(self, trigger_pc: int, trigger_offset: int, footprint: int) -> None:

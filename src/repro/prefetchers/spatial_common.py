@@ -32,11 +32,11 @@ from repro.prefetchers.tables import LRUTable
 from repro.sim.types import (
     BLOCK_SIZE,
     PrefetchHint,
-    PrefetchRequest,
     RegionGeometry,
     address_from_region_offset,
     block_offset_in_region,
     blocks_per_region,
+    pack_prefetch,
     region_number,
 )
 
@@ -317,25 +317,20 @@ def pattern_to_requests(
     region_size: int,
     hint: PrefetchHint = PrefetchHint.L1,
     exclude_offsets=(),
-    pc: int = 0,
     limit: Optional[int] = None,
-    metadata: str = "",
-) -> List[PrefetchRequest]:
-    """Convert a footprint bit vector into block-aligned prefetch requests."""
+) -> List[int]:
+    """Convert a footprint bit vector into packed prefetch requests."""
     blocks = blocks_per_region(region_size)
     excluded = set(exclude_offsets)
-    requests: List[PrefetchRequest] = []
+    requests: List[int] = []
     for offset in range(blocks):
         if not footprint & (1 << offset):
             continue
         if offset in excluded:
             continue
         requests.append(
-            PrefetchRequest(
-                address=address_from_region_offset(region, offset, region_size),
-                hint=hint,
-                origin_pc=pc,
-                metadata=metadata,
+            pack_prefetch(
+                address_from_region_offset(region, offset, region_size), hint
             )
         )
         if limit is not None and len(requests) >= limit:

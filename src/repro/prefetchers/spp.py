@@ -25,7 +25,6 @@ from repro.sim.types import (
     AccessResult,
     BLOCK_SIZE,
     PrefetchHint,
-    PrefetchRequest,
     block_number,
     block_offset_in_region,
     region_number,
@@ -149,7 +148,7 @@ class SPPPrefetcher(Prefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         block = block_number(address)
         page = region_number(address, self.region_size)
         offset = block_offset_in_region(address, self.region_size)
@@ -181,8 +180,8 @@ class SPPPrefetcher(Prefetcher):
 
     def _lookahead(
         self, page: int, offset: int, signature: int, pc: int
-    ) -> List[PrefetchRequest]:
-        requests: List[PrefetchRequest] = []
+    ) -> List[int]:
+        requests: List[int] = []
         confidence = 1.0
         current_offset = offset
         current_signature = signature
@@ -210,7 +209,7 @@ class SPPPrefetcher(Prefetcher):
                     else PrefetchHint.L2
                 )
                 requests.append(
-                    self.request(target_block * BLOCK_SIZE, hint, pc, "spp")
+                    self.request(target_block * BLOCK_SIZE, hint)
                 )
                 if self.use_perceptron:
                     self.filter.record_issue(

@@ -38,7 +38,6 @@ from repro.sim.types import (
     AccessResult,
     BLOCK_SIZE,
     PrefetchHint,
-    PrefetchRequest,
     block_number,
 )
 
@@ -96,13 +95,13 @@ class GHBMarkovPrefetcher(Prefetcher):
 
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         if result is not None and result.hit_level == "L1D":
             return []  # correlate the miss stream only, like the original
         block = block_number(address)
         last_position = self.index.get(block)
 
-        requests: List[PrefetchRequest] = []
+        requests: List[int] = []
         if last_position is not None:
             targets: List[int] = []
             seen = {block}
@@ -128,7 +127,7 @@ class GHBMarkovPrefetcher(Prefetcher):
                     break
             for target in targets[: self.degree]:
                 requests.append(
-                    self.request(target * BLOCK_SIZE, PrefetchHint.L1, pc)
+                    self.request(target * BLOCK_SIZE, PrefetchHint.L1)
                 )
 
         link = last_position if last_position is not None else -1
@@ -272,11 +271,11 @@ class TriangelPrefetcher(Prefetcher):
                 entry[0] = block
                 entry[1] = 1
 
-    def _predict(self, block: int, pc: int) -> List[PrefetchRequest]:
+    def _predict(self, block: int) -> List[int]:
         # Each Markov hop jumps ``distance`` misses ahead of the demand
         # stream, so every emitted target has at least ``distance``
         # miss-latencies of slack.
-        requests: List[PrefetchRequest] = []
+        requests: List[int] = []
         seen = {block}
         current = block
         for _ in range(self.degree):
@@ -286,7 +285,7 @@ class TriangelPrefetcher(Prefetcher):
                 break
             target = entry[0]
             seen.add(target)
-            requests.append(self.request(target * BLOCK_SIZE, PrefetchHint.L1, pc))
+            requests.append(self.request(target * BLOCK_SIZE, PrefetchHint.L1))
             current = target
         return requests
 
@@ -295,7 +294,7 @@ class TriangelPrefetcher(Prefetcher):
     # ------------------------------------------------------------------ #
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         if result is not None and result.hit_level == "L1D":
             return []  # the training unit observes the L1 miss stream
         block = block_number(address)
@@ -316,7 +315,7 @@ class TriangelPrefetcher(Prefetcher):
         history.append(block)
         if not trained:
             return []
-        return self._predict(block, pc)
+        return self._predict(block)
 
     def storage_bits(self) -> int:
         # Training unit: PC tag (16b) + ``distance`` history blocks (58b

@@ -29,7 +29,6 @@ from repro.sim.types import (
     BLOCK_SIZE,
     MemoryAccess,
     PrefetchHint,
-    PrefetchRequest,
     block_number,
     block_offset_in_region,
     region_base_address,
@@ -58,7 +57,6 @@ __all__ = [
     "MultiCoreSimulator",
     "MultiCoreStats",
     "PrefetchHint",
-    "PrefetchRequest",
     "PrefetchStats",
     "SimulationStats",
     "SingleCoreSimulator",

@@ -141,9 +141,8 @@ class ChunkedTraceStream:
     """Re-openable access source decoded into bounded-size batched chunks.
 
     Bridges streamed traces (e.g. :class:`repro.workloads.formats.TraceFile`)
-    and the batched kernel: instead of materializing the whole trace (the
-    ``batch="on"`` trade) or falling back to the scalar kernel (the old
-    ``batch="auto"`` behaviour for files), the simulator pulls successive
+    and the batched kernel: instead of materializing the whole trace or
+    falling back to the scalar kernel, the simulator pulls successive
     :class:`BatchedTrace` chunks of at most ``chunk_accesses`` accesses —
     the batched kernel's throughput at O(chunk) memory.
 

@@ -45,13 +45,14 @@ eviction listeners, or a hierarchy with prefetches in flight.
 receives one of five ``AccessResult`` objects the kernel reuses for every
 call (one per serving level plus one for late prefetches), mutated exactly
 as the Python driver mutates its own, so a prefetcher must not keep a
-reference to ``result`` beyond the call.  Returned requests are packed to
-``block << 1 | (hint is PrefetchHint.L1)`` and go through the usual PQ
-accounting.  The hierarchy's cache, MSHR and DRAM state lives in C while
-the run is in progress, so a prefetcher must not read it from a callback;
-no registered design does.  An exception raised by either callback aborts
-the run and propagates unchanged; prefetches still queued at that point
-are dropped.
+reference to ``result`` beyond the call.  ``train`` returns packed ints
+(:func:`~repro.sim.types.pack_prefetch`: ``block << 1 | to_l1``), which
+enter the PQ as they are, with the usual accounting; an item that is not
+an int raises ``TypeError``.  The hierarchy's cache, MSHR and DRAM state
+lives in C while the run is in progress, so a prefetcher must not read it
+from a callback; no registered design does.  An exception raised by
+either callback aborts the run and propagates unchanged; prefetches still
+queued at that point are dropped.
 
 **N-core mixes.**  :class:`~repro.sim.multicore.MultiCoreSimulator`
 under ``kernel="compiled"`` attaches one driver per core with
@@ -87,7 +88,7 @@ from typing import Optional, Tuple
 from repro.sim.cache import Cache, CacheBlock, MSHREntry
 from repro.sim.dram import DRAMModel
 from repro.sim.simulator import batched_decline_reason
-from repro.sim.types import AccessResult, PrefetchHint
+from repro.sim.types import AccessResult
 
 try:  # pragma: no cover - exercised only when the extension is built
     from repro import _kernels
@@ -238,7 +239,7 @@ class CompiledDriver:
             return None, "hierarchy not quiescent (in-flight prefetches)"
 
         ptype, train_kernel, evict_hook = _classify(prefetcher)
-        results = hint_l1 = None
+        results = None
         if ptype == PF_PYTHON:
             # The Python driver's per-level reusable results, same order
             # as the kernel's RES_* indices.
@@ -249,7 +250,6 @@ class CompiledDriver:
                 AccessResult(0, "DRAM", False, False),
                 AccessResult(0, "L1D", False, False),
             )
-            hint_l1 = PrefetchHint.L1
         core = sim.core
         kernel = _kernels.DriverKernel(
             l1_sets=l1d._set_count,
@@ -282,7 +282,6 @@ class CompiledDriver:
             kernel=train_kernel,
             evict=evict_hook,
             results=results,
-            hint_l1=hint_l1,
             shared=None if shared is None else shared._kernel,
         )
         kernel.load_cache(1, _cache_items(l1d))

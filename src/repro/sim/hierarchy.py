@@ -30,7 +30,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.dram import DRAMModel
 from repro.sim.prefetch_queue import PrefetchQueue
 from repro.sim.stats import SimulationStats
-from repro.sim.types import AccessResult, PrefetchHint, PrefetchRequest, BLOCK_SHIFT
+from repro.sim.types import AccessResult, BLOCK_SHIFT
 
 
 class CacheHierarchy:
@@ -230,8 +230,8 @@ class CacheHierarchy:
     # ------------------------------------------------------------------ #
     # Prefetch path
     # ------------------------------------------------------------------ #
-    def enqueue_prefetches(self, requests, cycle: int) -> int:
-        """Add prefetch requests to the PQ; returns how many were accepted.
+    def enqueue_prefetches(self, requests) -> int:
+        """Add packed prefetch requests to the PQ; returns the number accepted.
 
         The generated/dropped statistics are batched: one counter merge per
         call instead of one per request.
@@ -241,7 +241,7 @@ class CacheHierarchy:
         queue_push = self.prefetch_queue.push
         for request in requests:
             total += 1
-            if queue_push(request, cycle):
+            if queue_push(request):
                 accepted += 1
         prefetch_stats = self.stats.prefetch
         prefetch_stats.generated += total
@@ -265,17 +265,17 @@ class CacheHierarchy:
         issue = self._issue_prefetch
         popleft = pending.popleft
         while pending and issued < limit:
-            issue(popleft()[0], cycle)
+            issue(popleft(), cycle)
             issued += 1
         return issued
 
-    def _issue_prefetch(self, request: PrefetchRequest, cycle: int) -> None:
+    def _issue_prefetch(self, packed: int, cycle: int) -> None:
         # Hot for aggressive designs (PMP issues more prefetches than it
         # sees demand accesses), so the L1D/L2C membership checks and the
         # L2C LRU touch are inlined set-dict operations — same rationale as
         # in :meth:`demand_access`.  The LLC and DRAM stay behind their
         # methods: they are reached only on an L2C miss.
-        block = request.address >> BLOCK_SHIFT
+        block = packed >> 1
         stats = self.stats.prefetch
         l1d = self.l1d
         mask = l1d._set_mask
@@ -283,8 +283,7 @@ class CacheHierarchy:
             block & mask if mask is not None else block % l1d._set_count
         ]
         l1_mshr = self.l1_mshr
-        hint = request.hint
-        hint_is_l2 = hint is PrefetchHint.L2
+        to_l1 = packed & 1
 
         # Redundant: already in the L1D (or being filled).
         if block in l1_set or block in l1_mshr._entries:
@@ -296,7 +295,7 @@ class CacheHierarchy:
             block & mask if mask is not None else block % l2c._set_count
         ]
         l2_entry = l2_set.get(block)
-        if hint_is_l2 and l2_entry is not None:
+        if not to_l1 and l2_entry is not None:
             stats.redundant += 1
             return
 
@@ -316,7 +315,7 @@ class CacheHierarchy:
             from_dram = True
             self.llc.fill_absent(block, False, True)
 
-        if not hint_is_l2 and hint is PrefetchHint.L1:
+        if to_l1:
             if not l1_mshr.has_free_entry(cycle):
                 stats.dropped_mshr_full += 1
                 # Fall back to an L2 fill so the work done is not wasted.
@@ -351,6 +350,6 @@ class CacheHierarchy:
 
     def flush_prefetches(self, cycle: int) -> None:
         """Issue everything still queued and complete all in-flight fills."""
-        for queued in self.prefetch_queue.drain_all():
-            self._issue_prefetch(queued.request, cycle)
+        for packed in self.prefetch_queue.drain_all():
+            self._issue_prefetch(packed, cycle)
         self._complete_ready_prefetches(cycle + 10**9)

@@ -112,7 +112,7 @@ class _CoreContext:
                 access.pc, access.address, issue_cycle, result
             )
             if requests:
-                hierarchy.enqueue_prefetches(requests, issue_cycle)
+                hierarchy.enqueue_prefetches(requests)
 
         if self.measuring and self.executed_instructions >= self.budget:
             self.close_measurement()

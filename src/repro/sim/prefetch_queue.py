@@ -14,27 +14,14 @@ time.  Two effects matter for the paper's results and are modelled here:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional
-
-from repro.sim.types import PrefetchRequest
-
-
-@dataclass(slots=True)
-class QueuedPrefetch:
-    """A prefetch request waiting in the PQ."""
-
-    request: PrefetchRequest
-    enqueue_cycle: int
 
 
 class PrefetchQueue:
     """Bounded FIFO of pending prefetch requests.
 
-    Internally the FIFO holds plain ``(request, enqueue_cycle)`` tuples —
-    the hot push/pop pair then allocates no wrapper objects — and the
-    :class:`QueuedPrefetch` view is materialized lazily by the drain
-    helpers that return entries to callers.
+    Entries are the packed ints prefetchers return
+    (:func:`~repro.sim.types.pack_prefetch`: ``block << 1 | to_l1``).
     """
 
     __slots__ = ("capacity", "drain_per_access", "_queue", "enqueued", "dropped_full")
@@ -46,7 +33,7 @@ class PrefetchQueue:
             raise ValueError("drain_per_access must be positive")
         self.capacity = capacity
         self.drain_per_access = drain_per_access
-        self._queue: Deque[tuple] = deque()
+        self._queue: Deque[int] = deque()
         self.enqueued = 0
         self.dropped_full = 0
 
@@ -76,7 +63,7 @@ class PrefetchQueue:
         return not self._queue
 
     @property
-    def pending(self) -> Deque[QueuedPrefetch]:
+    def pending(self) -> Deque[int]:
         """The underlying FIFO, exposed for hot-path truthiness checks.
 
         Drivers bind this deque once and test it per access (or per chunk)
@@ -85,33 +72,27 @@ class PrefetchQueue:
         """
         return self._queue
 
-    def push(self, request: PrefetchRequest, cycle: int) -> bool:
-        """Enqueue ``request``; returns False (and counts a drop) if full."""
+    def push(self, packed: int) -> bool:
+        """Enqueue ``packed``; returns False (and counts a drop) if full."""
         queue = self._queue
         if len(queue) >= self.capacity:
             self.dropped_full += 1
             return False
-        queue.append((request, cycle))
+        queue.append(packed)
         self.enqueued += 1
         return True
 
-    def drain(self, limit: Optional[int] = None) -> List[QueuedPrefetch]:
+    def drain(self, limit: Optional[int] = None) -> List[int]:
         """Remove and return up to ``limit`` queued requests (FIFO order)."""
         if limit is None:
             limit = self.drain_per_access
         queue = self._queue
-        if not queue:
-            return []
         popleft = queue.popleft
-        drained: List[QueuedPrefetch] = []
-        append = drained.append
-        while queue and len(drained) < limit:
-            append(QueuedPrefetch(*popleft()))
-        return drained
+        return [popleft() for _ in range(min(limit, len(queue)))]
 
-    def drain_all(self) -> List[QueuedPrefetch]:
+    def drain_all(self) -> List[int]:
         """Remove and return every queued request."""
-        drained = [QueuedPrefetch(request, cycle) for request, cycle in self._queue]
+        drained = list(self._queue)
         self._queue.clear()
         return drained
 

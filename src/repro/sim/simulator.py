@@ -38,16 +38,10 @@ from repro.sim.config import SystemConfig, default_system_config
 from repro.sim.cpu import CoreTimingModel
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.stats import SimulationStats
-from repro.sim.types import (
-    AccessResult,
-    AccessType,
-    MemoryAccess,
-    PrefetchHint,
-    PrefetchRequest,
-)
+from repro.sim.types import AccessResult, AccessType, MemoryAccess
 
 #: Accepted values of the ``batch`` execution knob.
-BATCH_MODES = ("auto", "on", "off")
+BATCH_MODES = ("auto", "off")
 
 #: Accepted values of the ``kernel`` execution knob.  ``"auto"``/``"python"``
 #: run the registered (pure-Python object) prefetcher in the Python driver;
@@ -311,12 +305,10 @@ class SingleCoreSimulator:
         ``batch`` selects the execution kernel — statistics are
         bit-identical either way:
 
-        * ``"auto"`` (default): the batched kernel for array-decodable
-          sources (pre-decoded traces as-is, materialized sequences decoded
-          here), the scalar kernel for streamed sources (which keep their
-          O(1)-memory property);
-        * ``"on"``: additionally materializes + decodes streamed sources
-          (trading the O(1) memory for the batched kernel's throughput);
+        * ``"auto"`` (default): the batched kernel — pre-decoded traces
+          as-is, materialized sequences decoded here, re-openable streamed
+          sources decoded chunk by chunk at bounded memory; one-shot
+          iterators keep the scalar kernel (they cannot replay);
         * ``"off"``: always the scalar kernel.
 
         ``max_instructions`` bounds the measured phase (counting both memory
@@ -339,11 +331,9 @@ class SingleCoreSimulator:
         geometry_reason = batched_decline_reason(self.hierarchy)
         if batch != "off" and geometry_reason is None:
             decoded = decode_trace(trace)
-            if decoded is None and batch == "on":
-                decoded = BatchedTrace.from_accesses(iter(trace))
             if decoded is not None:
                 trace = decoded
-            elif batch == "auto" and not hasattr(trace, "__next__"):
+            elif not hasattr(trace, "__next__"):
                 # Re-openable streamed source (e.g. a TraceFile): run the
                 # batched kernel chunk-wise at bounded memory instead of
                 # falling back to the scalar kernel.  One-shot iterators
@@ -498,7 +488,7 @@ class SingleCoreSimulator:
                         access.pc, access.address, issue_cycle, result
                     )
                     if requests:
-                        enqueue_prefetches(requests, issue_cycle)
+                        enqueue_prefetches(requests)
             replayer._index = index
             if yielded:
                 replayer.yielded_any = True
@@ -525,7 +515,7 @@ class SingleCoreSimulator:
             if train is not None and access_type is load:
                 requests = train(access.pc, access.address, issue_cycle, result)
                 if requests:
-                    enqueue_prefetches(requests, issue_cycle)
+                    enqueue_prefetches(requests)
 
     def _execute_chunked(
         self, replayer: _TraceReplayer, instruction_budget: Optional[int]
@@ -718,26 +708,6 @@ class SingleCoreSimulator:
         mshr_capacity = l1_mshr.capacity
         lat_l2_source = hierarchy._lat_l2_source
         lat_llc_source = hierarchy._lat_llc_source
-        hint_l1 = PrefetchHint.L1
-        hint_l2 = PrefetchHint.L2
-        # Packed prefetch queue.  Inside this loop queued prefetches are
-        # stored as packed ints — ``block << 1 | to_l1`` — and issued
-        # through :meth:`CacheHierarchy._issue_prefetch`'s body inlined
-        # below against the already-bound cache locals, so no
-        # :class:`PrefetchRequest` travels through the hot path.  The
-        # prefetcher's requests are packed at enqueue (the sim layer only
-        # ever reads ``address`` and ``hint``, and every non-L1 hint takes
-        # the L2 fill branch, so the single to-L1 bit is behaviourally
-        # lossless).  Leftover entries are converted back to ``(request,
-        # cycle)`` tuples at exit, preserving the PQ representation every
-        # other code path uses.
-        if pending_prefetches:
-            for _ in range(len(pending_prefetches)):
-                request, _enq_cycle = pq_popleft()
-                pq_append(
-                    (request.address >> 6) << 1
-                    | (1 if request.hint is hint_l1 else 0)
-                )
         while unbounded or executed < instruction_budget:
             if unbounded and replayer.replays > 0:
                 break
@@ -1153,10 +1123,7 @@ class SingleCoreSimulator:
                     for request in requests:
                         total += 1
                         if len(pending_prefetches) < pq_capacity:
-                            pq_append(
-                                (request.address >> 6) << 1
-                                | (1 if request.hint is hint_l1 else 0)
-                            )
+                            pq_append(request)
                             accepted += 1
                     prefetch_queue.enqueued += accepted
                     prefetch_stats.generated += total
@@ -1164,28 +1131,6 @@ class SingleCoreSimulator:
                         dropped = total - accepted
                         prefetch_queue.dropped_full += dropped
                         prefetch_stats.dropped_queue_full += dropped
-
-        if pending_prefetches:
-            # Convert surviving packed entries back to the standard
-            # (request, enqueue_cycle) tuples so flush_prefetches and any
-            # later kernel invocation see the usual PQ shape.  The enqueue
-            # cycle is never read after this point (issuing uses the
-            # caller-supplied cycle), so the current issue cycle stands in
-            # for the lost per-entry value.
-            convert_cycle = int(issue)
-            for _ in range(len(pending_prefetches)):
-                p = pq_popleft()
-                pq_append(
-                    (
-                        PrefetchRequest(
-                            (p >> 1) << 6,
-                            hint_l1 if p & 1 else hint_l2,
-                            0,
-                            "",
-                        ),
-                        convert_cycle,
-                    )
-                )
 
         core._instr_count = instr
         core._fetch_cycle = fetch

@@ -72,29 +72,22 @@ class MemoryAccess:
         return self.address >> BLOCK_SHIFT
 
 
-@dataclass(frozen=True, slots=True)
-class PrefetchRequest:
-    """A prefetch candidate produced by a prefetcher.
+def pack_prefetch(address: int, hint: PrefetchHint = PrefetchHint.L1) -> int:
+    """Pack a prefetch for the block holding ``address`` into one int.
 
-    Attributes:
-        address: byte address (block aligned addresses are recommended but
-            any address within the target block is accepted).
-        hint: which cache level the block should be filled into.
-        origin_pc: PC of the access that triggered the prediction, kept for
-            bookkeeping / debugging.
-        metadata: free-form tag used by some prefetchers (e.g. which internal
-            path produced the request) -- only used for statistics.
+    This is the one form a prefetch request takes, from a prefetcher's
+    ``train`` to the prefetch queue in both drivers:
+    ``block << 1 | to_l1``.  Bit 0 selects the fill level — set for an
+    L1D fill, clear for an L2C-only fill (every non-L1 hint, since no
+    evaluated design fills the LLC directly) — and the remaining bits are
+    the cache-block number.
     """
+    return (address >> BLOCK_SHIFT) << 1 | (hint is PrefetchHint.L1)
 
-    address: int
-    hint: PrefetchHint = PrefetchHint.L1
-    origin_pc: int = 0
-    metadata: str = ""
 
-    @property
-    def block(self) -> int:
-        """Cache-block number of the requested prefetch."""
-        return self.address >> BLOCK_SHIFT
+def unpack_prefetch(packed: int) -> "tuple[int, PrefetchHint]":
+    """Decode a :func:`pack_prefetch` int into ``(block, hint)``."""
+    return packed >> 1, PrefetchHint.L1 if packed & 1 else PrefetchHint.L2
 
 
 @dataclass(slots=True)

@@ -272,8 +272,8 @@ class TraceFile:
 
         Returns a :class:`repro.sim.batch.BatchedTrace` for the batched
         simulation kernel.  Unlike iteration, which streams in O(1) memory,
-        the decoded arrays hold the entire trace — callers opt into the
-        trade explicitly (``batch="on"`` at the job/simulator level).
+        the decoded arrays hold the entire trace; the simulator itself
+        streams files chunk by chunk (:meth:`decode_batched_chunks`).
         """
         from repro.sim.batch import BatchedTrace
 

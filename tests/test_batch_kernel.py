@@ -19,12 +19,7 @@ from repro.sim.batch import BatchedTrace, decode_trace
 from repro.sim.cache import Cache, MSHRFile
 from repro.sim.config import CacheConfig, default_system_config
 from repro.sim.simulator import BATCH_MODES, SingleCoreSimulator, simulate_trace
-from repro.sim.types import (
-    AccessType,
-    MemoryAccess,
-    PrefetchHint,
-    PrefetchRequest,
-)
+from repro.sim.types import AccessType, MemoryAccess, PrefetchHint, pack_prefetch
 from repro.workloads import formats as trace_formats
 from repro.workloads.trace import TraceSpec
 
@@ -92,8 +87,8 @@ class _L1PrefetchStub(Prefetcher):
 
     def train(self, pc, address, cycle, result=None):
         return [
-            PrefetchRequest(address + 64, PrefetchHint.L1, pc, "stub"),
-            PrefetchRequest(address + 128, PrefetchHint.L1, pc, "stub"),
+            pack_prefetch(address + 64, PrefetchHint.L1),
+            pack_prefetch(address + 128, PrefetchHint.L1),
         ]
 
 
@@ -140,7 +135,7 @@ class TestBatchedTraceDecode:
     def test_unknown_batch_mode_rejected(self):
         with pytest.raises(ValueError):
             simulate_trace(_trace(length=10), batch="sometimes")
-        assert set(BATCH_MODES) == {"auto", "on", "off"}
+        assert set(BATCH_MODES) == {"auto", "off"}
 
 
 # --------------------------------------------------------------------------- #
@@ -284,14 +279,14 @@ class TestStreamedMaterializedBatchedEquality:
         streamed = simulate_trace(spec.replayable(), prefetcher=prefetcher(),
                                   batch="off")
         batched = simulate_trace(spec.batched(), prefetcher=prefetcher())
-        decoded_on = simulate_trace(spec.replayable(),
-                                    prefetcher=prefetcher(), batch="on")
+        chunked = simulate_trace(spec.replayable(),
+                                    prefetcher=prefetcher())
         _assert_identical(materialized, streamed,
                           f"{prefetcher_name}, streamed")
         _assert_identical(materialized, batched,
                           f"{prefetcher_name}, spec.batched()")
-        _assert_identical(materialized, decoded_on,
-                          f"{prefetcher_name}, batch=on over a stream")
+        _assert_identical(materialized, chunked,
+                          f"{prefetcher_name}, batch=auto over a stream")
 
     def test_trace_file_decode_batched(self, trace_file_spec):
         trace, spec = trace_file_spec
@@ -315,7 +310,7 @@ class TestJobBatchKnob:
         keys = {
             SimulationJob(spec=self._spec(), prefetcher="gaze",
                           trace_length=700, batch=batch).key()
-            for batch in ("auto", "on", "off")
+            for batch in BATCH_MODES
         }
         assert len(keys) == 1
         job = SimulationJob(spec=self._spec(), trace_length=700)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.gaze import GazeConfig, GazePrefetcher
-from repro.sim.types import PrefetchHint, address_from_region_offset
+from repro.sim.types import PrefetchHint, address_from_region_offset, unpack_prefetch
 
 
 def feed_region(prefetcher, region, offsets, pc=0x400100, start_cycle=0):
@@ -17,7 +17,11 @@ def feed_region(prefetcher, region, offsets, pc=0x400100, start_cycle=0):
 
 
 def offsets_of(requests, region_size=4096):
-    return sorted({(r.address % region_size) // 64 for r in requests})
+    return sorted({unpack_prefetch(p)[0] % (region_size // 64) for p in requests})
+
+
+def hint_of(packed):
+    return unpack_prefetch(packed)[1]
 
 
 class TestBasicFlow:
@@ -56,7 +60,7 @@ class TestPatternLearningAndPrediction:
         requests = feed_region(gaze, 200, pattern[:2])
         assert gaze.pht_predictions == 1
         assert offsets_of(requests) == sorted(set(pattern) - {5, 9})
-        assert all(r.hint is PrefetchHint.L1 for r in requests)
+        assert all(hint_of(r) is PrefetchHint.L1 for r in requests)
 
     def test_strict_matching_rejects_swapped_order(self):
         gaze = GazePrefetcher()
@@ -123,8 +127,8 @@ class TestStreamingModule:
         self._train_dense_regions(gaze, count=3, pc=0x500000)
         requests = feed_region(gaze, 2000, [0, 1], pc=0x500000)
         assert gaze.streaming_predictions >= 1
-        l1_offsets = offsets_of([r for r in requests if r.hint is PrefetchHint.L1])
-        l2_offsets = offsets_of([r for r in requests if r.hint is PrefetchHint.L2])
+        l1_offsets = offsets_of([r for r in requests if hint_of(r) is PrefetchHint.L1])
+        l2_offsets = offsets_of([r for r in requests if hint_of(r) is PrefetchHint.L2])
         # Head of the region to the L1D, the rest (or at least some) to the L2C.
         assert l1_offsets and max(l1_offsets) < 16
         assert all(o >= 16 for o in l2_offsets)
@@ -142,7 +146,7 @@ class TestStreamingModule:
         assert 2 < gaze.streaming.dc.value < 7
         requests = feed_region(gaze, 3000, [0, 1], pc=0x777777)
         assert requests  # moderate confidence -> L2-only head
-        assert all(r.hint is PrefetchHint.L2 for r in requests)
+        assert all(hint_of(r) is PrefetchHint.L2 for r in requests)
 
     def test_non_dense_streaming_candidates_decay_dc(self):
         gaze = GazePrefetcher()

@@ -13,7 +13,7 @@ from repro.core.dense_tracker import (
 from repro.core.filter_table import GazeFilterTable
 from repro.core.pattern_history import GazePatternHistoryTable
 from repro.core.prefetch_buffer import BlockPrefetchState, GazePrefetchBuffer
-from repro.sim.types import PrefetchHint
+from repro.sim.types import PrefetchHint, unpack_prefetch
 
 
 class TestFilterTable:
@@ -224,9 +224,9 @@ class TestPrefetchBuffer:
         pb = GazePrefetchBuffer()
         pb.add_pattern(region=5, offsets_to_l1=[9, 3], offsets_to_l2=[20])
         requests = pb.pop_requests(region=5, region_size=4096)
-        offsets = [(r.address % 4096) // 64 for r in requests]
-        assert offsets == [3, 9, 20]
-        hints = [r.hint for r in requests]
+        decoded = [unpack_prefetch(p) for p in requests]
+        assert [block % 64 for block, _ in decoded] == [3, 9, 20]
+        hints = [hint for _, hint in decoded]
         assert hints == [PrefetchHint.L1, PrefetchHint.L1, PrefetchHint.L2]
 
     def test_exclude_offsets(self):
@@ -247,7 +247,7 @@ class TestPrefetchBuffer:
         pb = GazePrefetchBuffer()
         pb.add_pattern(region=1, offsets_to_l1=[4], offsets_to_l2=[4])
         requests = pb.pop_requests(1, 4096)
-        assert requests[0].hint is PrefetchHint.L1
+        assert unpack_prefetch(requests[0])[1] is PrefetchHint.L1
 
     def test_promotion_reissues_l2_blocks(self):
         pb = GazePrefetchBuffer()
@@ -256,7 +256,7 @@ class TestPrefetchBuffer:
         needs = pb.promote(1, [10, 11, 12])
         assert set(needs) == {10, 11, 12}
         requests = pb.pop_requests(1, 4096)
-        assert all(r.hint is PrefetchHint.L1 for r in requests)
+        assert all(unpack_prefetch(p)[1] is PrefetchHint.L1 for p in requests)
 
     def test_promotion_skips_l1_issued(self):
         pb = GazePrefetchBuffer()

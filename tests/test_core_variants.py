@@ -12,7 +12,7 @@ from repro.core.variants import (
     StreamingOnlyGaze,
     VirtualGaze,
 )
-from repro.sim.types import address_from_region_offset
+from repro.sim.types import address_from_region_offset, unpack_prefetch
 
 
 def feed(prefetcher, region, offsets, pc=0x400100, region_size=4096):
@@ -24,7 +24,7 @@ def feed(prefetcher, region, offsets, pc=0x400100, region_size=4096):
 
 
 def req_offsets(requests, region_size=4096):
-    return sorted({(r.address % region_size) // 64 for r in requests})
+    return sorted({unpack_prefetch(p)[0] % (region_size // 64) for p in requests})
 
 
 class TestContextCharacterization:
@@ -131,7 +131,7 @@ class TestStreamingOnlyVariants:
         assert len(known) > 0
         # The unknown PC only gets the moderate (L2-only) treatment at most.
         from repro.sim.types import PrefetchHint
-        assert all(r.hint is PrefetchHint.L2 for r in unknown)
+        assert all(unpack_prefetch(p)[1] is PrefetchHint.L2 for p in unknown)
 
 
 class TestNInitialAccessVariants:

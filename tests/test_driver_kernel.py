@@ -45,7 +45,7 @@ from repro.sim.simulator import (
     resolve_kernel,
     simulate_trace,
 )
-from repro.sim.types import PrefetchHint, PrefetchRequest
+from repro.sim.types import PrefetchHint, pack_prefetch, unpack_prefetch
 from repro.workloads import formats as trace_formats
 from repro.workloads.trace import TraceSpec
 
@@ -113,6 +113,25 @@ class TestDriverEquivalence:
         )
         _assert_identical(scalar, python, f"{prefetcher_name}, python batched")
         _assert_identical(scalar, compiled, f"{prefetcher_name}, compiled")
+
+    @pytest.mark.parametrize("name", ["gaze+spp-ppf", "pmp+bingo"])
+    def test_multilevel_pair(self, name):
+        # A Fig. 13 L1+L2 pair: the C driver hosts the MultiLevelPrefetcher
+        # through its Python train and eviction callbacks, and the L2
+        # component's requests are demoted by clearing the packed to-L1
+        # bit, the one place a packed request is rewritten.
+        trace = _trace(generator="spatial", seed=23, length=1_500)
+        python = simulate_trace(
+            trace, prefetcher=create_prefetcher(name), kernel="python"
+        )
+        compiled = simulate_trace(
+            trace, prefetcher=create_prefetcher(name), kernel="compiled",
+            record_tier=True,
+        )
+        _assert_identical(python, compiled, name)
+        assert python.prefetch.filled_l1 > 0 and python.prefetch.filled_l2 > 0
+        if driver_available():
+            assert compiled.extra["kernel_tier"] == "compiled-driver"
 
     @pytest.mark.parametrize("generator", ["spatial", "streaming", "cloud"])
     def test_bare_none_fused_path(self, generator):
@@ -214,10 +233,7 @@ def _hierarchy_state(sim):
             for e in h.l1_mshr._entries.values()
         ),
         "mshr_min_ready": h.l1_mshr._min_ready,
-        "pq": [
-            (request.address, request.hint, cycle)
-            for request, cycle in h.prefetch_queue._queue
-        ],
+        "pq": [unpack_prefetch(p) for p in h.prefetch_queue._queue],
         "dram": (
             dict(h.dram._open_row),
             dict(h.dram._bank_busy_until),
@@ -397,7 +413,7 @@ class _RecordingPrefetcher(Prefetcher):
         count = 70 if step % 97 == 0 else step % 4
         block = address >> 6
         return [
-            PrefetchRequest(
+            pack_prefetch(
                 (block + k) << 6, PrefetchHint.L1 if k % 2 else PrefetchHint.L2
             )
             for k in range(1, count + 1)
@@ -440,10 +456,29 @@ class _DuckTypedPrefetcher:
     name = "duck"
 
     def train(self, pc, address, cycle, result=None):
-        return [PrefetchRequest(((address >> 6) + 1) << 6, PrefetchHint.L1)]
+        return [pack_prefetch(((address >> 6) + 1) << 6, PrefetchHint.L1)]
+
+
+class _NonIntPrefetcher(Prefetcher):
+    """Returns an item that is not a packed int after a valid one."""
+
+    name = "non-int"
+
+    def train(self, pc, address, cycle, result=None):
+        return [pack_prefetch(address + 64), object()]
 
 
 class TestPythonCallbacks:
+    @pytest.mark.parametrize("kernel", ["python", "compiled"])
+    def test_non_int_request_raises_type_error(self, kernel):
+        # train returns packed ints; either driver rejects anything else
+        # (the C callback fails the conversion and enqueues nothing of it).
+        with pytest.raises(TypeError):
+            simulate_trace(
+                _trace(length=400), prefetcher=_NonIntPrefetcher(),
+                kernel=kernel,
+            )
+
     @pytest.mark.parametrize("shape", ["whole", "chunked", "warmup"])
     def test_callbacks_identical_across_drivers(self, shape):
         trace = _trace(generator="spatial", seed=29, length=1_500)
@@ -625,8 +660,8 @@ class TestTrainTwins:
             pc = 0x400 + (block % 7)
             ref_requests = reference.train(pc, block * 64, cycle)
             twin_requests = twin.train(pc, block * 64, cycle)
-            issued_ref.extend((r.address, r.hint) for r in ref_requests)
-            issued_twin.extend((r.address, r.hint) for r in twin_requests)
+            issued_ref.extend(map(unpack_prefetch, ref_requests))
+            issued_twin.extend(map(unpack_prefetch, twin_requests))
         assert issued_ref == issued_twin
         assert issued_ref, (
             f"{reference.name} twin-equivalence trace never issued"

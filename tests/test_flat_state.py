@@ -295,7 +295,6 @@ class TestChunkedStreaming:
         # materialized batched kernel bit-for-bit (it used to run scalar).
         materialized = simulate_trace(
             list(iter(trace_file)), prefetcher=create_prefetcher("gaze"),
-            batch="on",
         )
         streamed = simulate_trace(
             trace_file, prefetcher=create_prefetcher("gaze"), batch="auto"

@@ -141,7 +141,7 @@ class TestChunkBoundaryEquality:
         # lands inside one for every length here.
         trace = _trace("ring", length=length)
         scalar = simulate_trace(trace, batch="off")
-        batched = simulate_trace(trace, batch="on")
+        batched = simulate_trace(trace)
         _assert_identical(scalar, batched, f"ring, length={length}")
 
     def test_resident_pointer_cycle_with_triangel(self):
@@ -154,9 +154,7 @@ class TestChunkBoundaryEquality:
         scalar = simulate_trace(
             trace, prefetcher=create_prefetcher("triangel"), batch="off"
         )
-        batched = simulate_trace(
-            trace, prefetcher=create_prefetcher("triangel"), batch="on"
-        )
+        batched = simulate_trace(trace, prefetcher=create_prefetcher("triangel"))
         _assert_identical(scalar, batched, "temporal-pointer/triangel")
 
     @pytest.mark.parametrize("max_instructions", [10_007, 20_011])
@@ -167,9 +165,7 @@ class TestChunkBoundaryEquality:
         scalar = simulate_trace(
             trace, batch="off", max_instructions=max_instructions
         )
-        batched = simulate_trace(
-            trace, batch="on", max_instructions=max_instructions
-        )
+        batched = simulate_trace(trace, max_instructions=max_instructions)
         _assert_identical(scalar, batched, f"budget={max_instructions}")
         assert scalar.instructions <= max_instructions + 64
 
@@ -178,9 +174,7 @@ class TestChunkBoundaryEquality:
         scalar = simulate_trace(
             trace, batch="off", warmup_instructions=5_003
         )
-        batched = simulate_trace(
-            trace, batch="on", warmup_instructions=5_003
-        )
+        batched = simulate_trace(trace, warmup_instructions=5_003)
         _assert_identical(scalar, batched, "warmup=5003")
 
     def test_warmup_and_budget_together(self):
@@ -190,8 +184,7 @@ class TestChunkBoundaryEquality:
             max_instructions=30_011,
         )
         batched = simulate_trace(
-            trace, batch="on", warmup_instructions=5_003,
-            max_instructions=30_011,
+            trace, warmup_instructions=5_003, max_instructions=30_011
         )
         _assert_identical(scalar, batched, "warmup+budget")
 
@@ -214,8 +207,8 @@ class TestChunkBoundaryEquality:
             scalar, simulate_trace(spec.batched()), "spec.batched()"
         )
         _assert_identical(
-            scalar, simulate_trace(spec.replayable(), batch="on"),
-            "batch=on over a stream",
+            scalar, simulate_trace(spec.replayable()),
+            "batch=auto over a stream",
         )
 
 
@@ -264,6 +257,6 @@ class TestDemandHitRunEngagement:
         trace = _trace("ring", length=6_000)
         scalar = simulate_trace(trace, batch="off")
         counters = self._spy(monkeypatch)
-        batched = simulate_trace(trace, batch="on")
+        batched = simulate_trace(trace)
         assert counters["calls"] > 0
         _assert_identical(scalar, batched, "instrumented ring run")

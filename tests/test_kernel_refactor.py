@@ -19,9 +19,9 @@ from repro.sim.types import (
     AccessType,
     MemoryAccess,
     PrefetchHint,
-    PrefetchRequest,
     RegionGeometry,
     block_offset_in_region,
+    pack_prefetch,
     region_number,
 )
 from repro.workloads.trace import TraceSpec
@@ -159,23 +159,21 @@ class TestMSHRMinReady:
 class TestPrefetchQueueEdgeCases:
     def test_overflow_drop_accounting(self):
         queue = PrefetchQueue(capacity=3)
-        accepted = sum(
-            queue.push(PrefetchRequest(address=i * 64), cycle=i) for i in range(8)
-        )
+        accepted = sum(queue.push(pack_prefetch(i * 64)) for i in range(8))
         assert accepted == 3
         assert queue.dropped_full == 5
         assert queue.enqueued == 3
         assert len(queue) == 3
         # Draining frees capacity; drops do not retroactively enter.
         queue.drain(limit=2)
-        assert queue.push(PrefetchRequest(address=999 * 64), cycle=9)
+        assert queue.push(pack_prefetch(999 * 64))
         assert queue.enqueued == 4
         assert queue.dropped_full == 5
 
     def test_truthiness_tracks_occupancy(self):
         queue = PrefetchQueue(capacity=2)
         assert not queue
-        queue.push(PrefetchRequest(address=0), 0)
+        queue.push(pack_prefetch(0))
         assert queue
         queue.drain_all()
         assert not queue
@@ -185,10 +183,10 @@ class TestPrefetchQueueEdgeCases:
         hierarchy = CacheHierarchy(config)
         limit = config.l1d.max_prefetch_issue_per_access
         requests = [
-            PrefetchRequest(address=(1000 + i) * 64, hint=PrefetchHint.L2)
+            pack_prefetch((1000 + i) * 64, PrefetchHint.L2)
             for i in range(limit + 3)
         ]
-        assert hierarchy.enqueue_prefetches(requests, cycle=0) == len(requests)
+        assert hierarchy.enqueue_prefetches(requests) == len(requests)
         issued = hierarchy.issue_queued_prefetches(cycle=10)
         assert issued == limit
         assert len(hierarchy.prefetch_queue) == 3
@@ -200,8 +198,7 @@ class TestPrefetchQueueEdgeCases:
         hierarchy = CacheHierarchy(config)
         addresses = [(2000 + i) * 64 for i in range(6)]
         hierarchy.enqueue_prefetches(
-            [PrefetchRequest(address=a, hint=PrefetchHint.L2) for a in addresses],
-            cycle=0,
+            [pack_prefetch(a, PrefetchHint.L2) for a in addresses]
         )
         hierarchy.flush_prefetches(cycle=100)
         assert not hierarchy.prefetch_queue
@@ -214,10 +211,8 @@ class TestPrefetchQueueEdgeCases:
         config = default_system_config(1)
         hierarchy = CacheHierarchy(config)
         capacity = config.l1d.prefetch_queue_size
-        requests = [
-            PrefetchRequest(address=i * 64) for i in range(capacity + 10)
-        ]
-        accepted = hierarchy.enqueue_prefetches(requests, cycle=0)
+        requests = [pack_prefetch(i * 64) for i in range(capacity + 10)]
+        accepted = hierarchy.enqueue_prefetches(requests)
         assert accepted == capacity
         assert hierarchy.stats.prefetch.generated == capacity + 10
         assert hierarchy.stats.prefetch.dropped_queue_full == 10

@@ -40,7 +40,7 @@ from repro.sim import default_system_config, simulate_mix
 from repro.sim.driver import driver_available
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.stats import MultiCoreStats
-from repro.sim.types import MemoryAccess, PrefetchHint, PrefetchRequest
+from repro.sim.types import MemoryAccess, PrefetchHint, pack_prefetch
 from repro.workloads.trace import TraceSpec
 
 requires_driver = pytest.mark.skipif(
@@ -328,9 +328,9 @@ class _RecordingPrefetcher(Prefetcher):
         self.trains.append((pc, address, cycle, result.hit_level, result.latency))
         block = address >> 6
         return [
-            PrefetchRequest((block + 1) << 6, PrefetchHint.L1),
-            PrefetchRequest((block + 2) << 6, PrefetchHint.L1),
-            PrefetchRequest((block + 9) << 6, PrefetchHint.L2),
+            pack_prefetch((block + 1) << 6, PrefetchHint.L1),
+            pack_prefetch((block + 2) << 6, PrefetchHint.L1),
+            pack_prefetch((block + 9) << 6, PrefetchHint.L2),
         ]
 
     def on_cache_eviction(self, block):

@@ -12,7 +12,7 @@ from repro.prefetchers.spatial_common import (
     rotate_footprint,
 )
 from repro.prefetchers.tables import LRUTable, SaturatingCounter, SetAssociativeTable
-from repro.sim.types import PrefetchHint
+from repro.sim.types import PrefetchHint, unpack_prefetch
 
 
 class TestLRUTable:
@@ -153,9 +153,11 @@ class TestFootprintHelpers:
             region=10, footprint=footprint, region_size=4096,
             hint=PrefetchHint.L2, exclude_offsets=(2,),
         )
-        offsets = [(r.address % 4096) // 64 for r in requests]
-        assert offsets == [1, 3]
-        assert all(r.hint is PrefetchHint.L2 for r in requests)
+        decoded = [unpack_prefetch(p) for p in requests]
+        assert decoded == [
+            (10 * 64 + 1, PrefetchHint.L2),
+            (10 * 64 + 3, PrefetchHint.L2),
+        ]
 
     def test_pattern_to_requests_limit(self):
         footprint = offsets_to_footprint(range(20))

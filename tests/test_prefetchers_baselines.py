@@ -20,11 +20,24 @@ from repro.prefetchers import (
     create_prefetcher,
     register_prefetcher,
 )
-from repro.sim.types import AccessResult, PrefetchHint, address_from_region_offset
+from repro.sim.types import (
+    AccessResult,
+    PrefetchHint,
+    address_from_region_offset,
+    unpack_prefetch,
+)
 
 
 def blocks_of(requests):
-    return sorted({r.address >> 6 for r in requests})
+    return sorted({unpack_prefetch(p)[0] for p in requests})
+
+
+def offsets_of(requests, region_size):
+    return sorted({block % (region_size // 64) for block in blocks_of(requests)})
+
+
+def hints_of(requests):
+    return {unpack_prefetch(p)[1] for p in requests}
 
 
 def feed_region(prefetcher, region, offsets, pc=0x400100, region_size=4096):
@@ -63,7 +76,7 @@ class TestIPStride:
             prefetcher.train(pc=0x10, address=i * 64, cycle=i)
             prefetcher.train(pc=0x20, address=i * 5 * 64, cycle=i)
         up = prefetcher.train(pc=0x10, address=6 * 64, cycle=10)
-        assert (7 * 64) in [r.address for r in up]
+        assert 7 in blocks_of(up)
 
     def test_no_prefetch_before_confidence(self):
         prefetcher = IPStridePrefetcher(confidence_threshold=2)
@@ -107,7 +120,7 @@ class TestSMS:
         feed_region(sms, 100, [3, 7, 12], pc=0xAA, region_size=2048)
         sms.on_cache_eviction((100 * 2048) // 64)
         requests = feed_region(sms, 200, [3], pc=0xAA, region_size=2048)
-        offsets = sorted({(r.address % 2048) // 64 for r in requests})
+        offsets = offsets_of(requests, 2048)
         assert offsets == [7, 12]
 
     def test_different_trigger_offset_is_different_event(self):
@@ -159,7 +172,7 @@ class TestDSPatch:
         feed_region(dspatch, 101, [0, 4], pc=0xAA, region_size=2048)
         dspatch.on_cache_eviction((101 * 2048) // 64)
         requests = feed_region(dspatch, 200, [0], pc=0xAA, region_size=2048)
-        offsets = sorted({(r.address % 2048) // 64 for r in requests})
+        offsets = offsets_of(requests, 2048)
         assert offsets == [2, 4]  # OR of both footprints (bandwidth ample)
 
     def test_accuracy_pattern_under_pressure(self):
@@ -171,7 +184,7 @@ class TestDSPatch:
         dspatch.on_cache_eviction((101 * 2048) // 64)
         dspatch._latency_ema = 1000.0
         requests = feed_region(dspatch, 200, [0], pc=0xAA, region_size=2048)
-        offsets = sorted({(r.address % 2048) // 64 for r in requests})
+        offsets = offsets_of(requests, 2048)
         assert offsets == [2]  # AND of the footprints
 
 
@@ -182,7 +195,7 @@ class TestPMP:
             feed_region(pmp, region, [5, 9, 12])
             pmp.on_cache_eviction(region * 64)
         requests = feed_region(pmp, 500, [5])
-        offsets = sorted({(r.address % 4096) // 64 for r in requests})
+        offsets = offsets_of(requests, 4096)
         assert offsets == [9, 12]
 
     def test_low_confidence_goes_to_l2(self):
@@ -195,7 +208,7 @@ class TestPMP:
         pmp.on_cache_eviction(101 * 64)
         requests = feed_region(pmp, 500, [5])
         assert requests
-        assert all(r.hint is PrefetchHint.L2 for r in requests)
+        assert hints_of(requests) == {PrefetchHint.L2}
 
     def test_trigger_offset_collision_mixes_patterns(self):
         pmp = PMPPrefetcher(l2_threshold=0.1)
@@ -204,7 +217,7 @@ class TestPMP:
         feed_region(pmp, 101, [5, 30, 40])
         pmp.on_cache_eviction(101 * 64)
         requests = feed_region(pmp, 500, [5])
-        offsets = sorted({(r.address % 4096) // 64 for r in requests})
+        offsets = offsets_of(requests, 4096)
         # Both patterns leak through: the characterization cannot separate them.
         assert set(offsets) >= {9, 30}
 
@@ -221,12 +234,16 @@ class TestIPCP:
         assert blocks_of(requests) == [12, 14]
 
     def test_global_stream_class(self):
-        ipcp = IPCPPrefetcher(gs_degree=4)
+        # cs_degree != gs_degree: on this dense ascending stream only the
+        # global-stream class issues the next gs_degree blocks.
+        ipcp = IPCPPrefetcher(cs_degree=2, gs_degree=4)
+        base = 0x100000 >> 6
         requests = []
         for offset in range(8):
-            requests = ipcp.train(pc=0x30, address=0x100000 + offset * 64, cycle=offset)
-        assert len(requests) == 4
-        assert requests[0].metadata == "gs"
+            requests = ipcp.train(pc=0x30, address=(base + offset) * 64, cycle=offset)
+        assert blocks_of(requests) == [base + 8, base + 9, base + 10, base + 11]
+        stream = ipcp.region_streams.get(0x100000 // 4096, touch=False)
+        assert stream.touched >= 4 and stream.ascending >= 3
 
     def test_reset(self):
         ipcp = IPCPPrefetcher()
@@ -254,8 +271,8 @@ class TestSPP:
         for i in range(30):
             spp.train(pc=1, address=i * 5 * 64, cycle=i)
         requests = spp.train(pc=1, address=60 * 64, cycle=100)
-        for request in requests:
-            assert request.address // 4096 == (60 * 64) // 4096
+        for block in blocks_of(requests):
+            assert block // 64 == 60 // 64
 
     def test_perceptron_filter_learns_negative(self):
         from repro.prefetchers.spp import _PerceptronFilter
@@ -283,7 +300,7 @@ class TestBerti:
         for i in range(30):
             requests = berti.train(pc=0x40, address=i * 2 * 64, cycle=i * 300)
         assert requests
-        assert (2 * 64) == requests[0].address - (29 * 2 * 64)
+        assert unpack_prefetch(requests[0])[0] - 29 * 2 == 2
 
     def test_timely_deltas_go_to_l1(self):
         berti = BertiPrefetcher()
@@ -291,7 +308,7 @@ class TestBerti:
         requests = []
         for i in range(30):
             requests = berti.train(pc=0x40, address=i * 64, cycle=i * 1000, result=result)
-        assert any(r.hint is PrefetchHint.L1 for r in requests)
+        assert PrefetchHint.L1 in hints_of(requests)
 
     def test_untimely_deltas_demoted_to_l2(self):
         berti = BertiPrefetcher()
@@ -300,7 +317,7 @@ class TestBerti:
         for i in range(30):
             requests = berti.train(pc=0x40, address=i * 64, cycle=i * 10, result=result)
         assert requests
-        assert all(r.hint is PrefetchHint.L2 for r in requests)
+        assert hints_of(requests) == {PrefetchHint.L2}
 
     def test_window_limits_delta_range(self):
         berti = BertiPrefetcher(page_window=1)
@@ -334,7 +351,7 @@ class TestRegistryAndMultilevel:
         miss = AccessResult(latency=200, hit_level="DRAM")
         requests = combo.train(0x1, 0, 0, miss)
         assert requests
-        assert all(r.hint is PrefetchHint.L2 for r in requests)
+        assert hints_of(requests) == {PrefetchHint.L2}
 
     def test_multilevel_l2_not_trained_on_l1_hits(self):
         combo = MultiLevelPrefetcher(NoPrefetcher(), NextLinePrefetcher(degree=2))

@@ -22,6 +22,7 @@ from repro.sim.types import (
     address_from_region_offset,
     block_offset_in_region,
     region_number,
+    unpack_prefetch,
 )
 
 offsets_strategy = st.lists(
@@ -164,8 +165,9 @@ class TestGazeProperties:
     ))
     @settings(max_examples=30, deadline=None)
     def test_gaze_never_prefetches_demanded_initial_blocks(self, accesses):
-        """Requests are always block-aligned, inside the region, and never for
-        the trigger/second blocks the region was activated with."""
+        """Requests (packed block numbers, so block-aligned by construction)
+        stay inside the region and never target the trigger/second blocks
+        the region was activated with."""
         gaze = GazePrefetcher()
         activations = {}
         for index, (region, offset) in enumerate(accesses):
@@ -175,11 +177,8 @@ class TestGazeProperties:
             entry = gaze.accumulation_table.lookup(region)
             if at_before and entry is not None:
                 activations[region] = (entry.trigger_offset, entry.second_offset)
-            for request in requests:
-                assert request.address % 64 == 0
-                req_region = request.address // 4096
-                req_offset = (request.address % 4096) // 64
-                assert 0 <= req_offset < 64
+            for packed in requests:
+                req_region, req_offset = divmod(unpack_prefetch(packed)[0], 64)
                 if req_region in activations:
                     trigger, second = activations[req_region]
                     assert req_offset not in (trigger, second)
@@ -210,6 +209,6 @@ class TestPrefetchBufferProperties:
             batch = pb.pop_requests(3, 4096, limit=7)
             if not batch:
                 break
-            issued.extend((r.address % 4096) // 64 for r in batch)
+            issued.extend(unpack_prefetch(p)[0] % 64 for p in batch)
         assert len(issued) == len(set(issued))
         assert set(issued) == set(l1) | set(l2)

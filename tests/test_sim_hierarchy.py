@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.config import default_system_config
 from repro.sim.hierarchy import CacheHierarchy
-from repro.sim.types import PrefetchHint, PrefetchRequest
+from repro.sim.types import PrefetchHint, pack_prefetch
 
 
 @pytest.fixture()
@@ -56,8 +56,8 @@ class TestDemandPath:
 
 class TestPrefetchPath:
     def test_prefetch_fill_then_demand_hit(self, hierarchy):
-        request = PrefetchRequest(address=ADDRESS, hint=PrefetchHint.L1)
-        hierarchy.enqueue_prefetches([request], cycle=0)
+        request = pack_prefetch(ADDRESS, PrefetchHint.L1)
+        hierarchy.enqueue_prefetches([request])
         hierarchy.issue_queued_prefetches(cycle=0)
         # Let the fill complete, then demand it.
         result = hierarchy.demand_access(ADDRESS, cycle=10_000)
@@ -67,8 +67,8 @@ class TestPrefetchPath:
         assert hierarchy.stats.prefetch.covered_llc_misses == 1
 
     def test_late_prefetch_partial_saving(self, hierarchy):
-        request = PrefetchRequest(address=ADDRESS, hint=PrefetchHint.L1)
-        hierarchy.enqueue_prefetches([request], cycle=0)
+        request = pack_prefetch(ADDRESS, PrefetchHint.L1)
+        hierarchy.enqueue_prefetches([request])
         hierarchy.issue_queued_prefetches(cycle=0)
         # Demand arrives before the fill completes.
         result = hierarchy.demand_access(ADDRESS, cycle=5)
@@ -79,8 +79,8 @@ class TestPrefetchPath:
         assert result.latency >= hierarchy.config.l1d.latency
 
     def test_l2_hint_fills_l2_only(self, hierarchy):
-        request = PrefetchRequest(address=ADDRESS, hint=PrefetchHint.L2)
-        hierarchy.enqueue_prefetches([request], cycle=0)
+        request = pack_prefetch(ADDRESS, PrefetchHint.L2)
+        hierarchy.enqueue_prefetches([request])
         hierarchy.issue_queued_prefetches(cycle=0)
         block = ADDRESS >> 6
         assert hierarchy.l2c.contains(block)
@@ -88,8 +88,8 @@ class TestPrefetchPath:
         assert hierarchy.stats.prefetch.filled_l2 == 1
 
     def test_l2_prefetch_useful_counted_on_demand(self, hierarchy):
-        request = PrefetchRequest(address=ADDRESS, hint=PrefetchHint.L2)
-        hierarchy.enqueue_prefetches([request], cycle=0)
+        request = pack_prefetch(ADDRESS, PrefetchHint.L2)
+        hierarchy.enqueue_prefetches([request])
         hierarchy.issue_queued_prefetches(cycle=0)
         result = hierarchy.demand_access(ADDRESS, cycle=100)
         assert result.hit_level == "L2C"
@@ -97,8 +97,8 @@ class TestPrefetchPath:
 
     def test_redundant_prefetch_dropped(self, hierarchy):
         hierarchy.demand_access(ADDRESS, cycle=0)
-        request = PrefetchRequest(address=ADDRESS, hint=PrefetchHint.L1)
-        hierarchy.enqueue_prefetches([request], cycle=10)
+        request = pack_prefetch(ADDRESS, PrefetchHint.L1)
+        hierarchy.enqueue_prefetches([request])
         hierarchy.issue_queued_prefetches(cycle=10)
         assert hierarchy.stats.prefetch.redundant == 1
         assert hierarchy.stats.prefetch.issued == 0
@@ -106,20 +106,20 @@ class TestPrefetchPath:
     def test_queue_overflow_drops(self, hierarchy):
         capacity = hierarchy.prefetch_queue.capacity
         requests = [
-            PrefetchRequest(address=ADDRESS + i * 64) for i in range(capacity + 10)
+            pack_prefetch(ADDRESS + i * 64) for i in range(capacity + 10)
         ]
-        hierarchy.enqueue_prefetches(requests, cycle=0)
+        hierarchy.enqueue_prefetches(requests)
         assert hierarchy.stats.prefetch.dropped_queue_full == 10
 
     def test_drain_respects_limit(self, hierarchy):
-        requests = [PrefetchRequest(address=ADDRESS + i * 64) for i in range(10)]
-        hierarchy.enqueue_prefetches(requests, cycle=0)
+        requests = [pack_prefetch(ADDRESS + i * 64) for i in range(10)]
+        hierarchy.enqueue_prefetches(requests)
         issued = hierarchy.issue_queued_prefetches(cycle=0)
         assert issued == hierarchy.config.l1d.max_prefetch_issue_per_access
 
     def test_useless_prefetch_counted_on_eviction(self, hierarchy):
-        request = PrefetchRequest(address=ADDRESS, hint=PrefetchHint.L2)
-        hierarchy.enqueue_prefetches([request], cycle=0)
+        request = pack_prefetch(ADDRESS, PrefetchHint.L2)
+        hierarchy.enqueue_prefetches([request])
         hierarchy.issue_queued_prefetches(cycle=0)
         # Evict it from the L2 without ever demanding it.
         sets = hierarchy.config.l2c.sets
@@ -129,15 +129,15 @@ class TestPrefetchPath:
         assert hierarchy.stats.prefetch.useless >= 1
 
     def test_flush_completes_inflight(self, hierarchy):
-        request = PrefetchRequest(address=ADDRESS, hint=PrefetchHint.L1)
-        hierarchy.enqueue_prefetches([request], cycle=0)
+        request = pack_prefetch(ADDRESS, PrefetchHint.L1)
+        hierarchy.enqueue_prefetches([request])
         hierarchy.flush_prefetches(cycle=0)
         assert hierarchy.l1d.contains(ADDRESS >> 6)
 
     def test_accuracy_computation(self, hierarchy):
-        useful = PrefetchRequest(address=ADDRESS, hint=PrefetchHint.L2)
-        useless = PrefetchRequest(address=ADDRESS + 64, hint=PrefetchHint.L2)
-        hierarchy.enqueue_prefetches([useful, useless], cycle=0)
+        useful = pack_prefetch(ADDRESS, PrefetchHint.L2)
+        useless = pack_prefetch(ADDRESS + 64, PrefetchHint.L2)
+        hierarchy.enqueue_prefetches([useful, useless])
         hierarchy.issue_queued_prefetches(cycle=0)
         hierarchy.demand_access(ADDRESS, cycle=50)
         stats = hierarchy.stats.prefetch

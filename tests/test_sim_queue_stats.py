@@ -4,35 +4,35 @@ import pytest
 
 from repro.sim.prefetch_queue import PrefetchQueue
 from repro.sim.stats import MultiCoreStats, PrefetchStats, SimulationStats, geometric_mean
-from repro.sim.types import PrefetchRequest
+from repro.sim.types import pack_prefetch, unpack_prefetch
 
 
 class TestPrefetchQueue:
     def test_fifo_order(self):
         queue = PrefetchQueue(capacity=8)
         for i in range(4):
-            queue.push(PrefetchRequest(address=i * 64), cycle=i)
+            queue.push(pack_prefetch(i * 64))
         drained = queue.drain(limit=4)
-        assert [q.request.address for q in drained] == [0, 64, 128, 192]
+        assert [unpack_prefetch(p)[0] for p in drained] == [0, 1, 2, 3]
 
     def test_capacity_drop(self):
         queue = PrefetchQueue(capacity=2)
-        assert queue.push(PrefetchRequest(address=0), 0)
-        assert queue.push(PrefetchRequest(address=64), 0)
-        assert not queue.push(PrefetchRequest(address=128), 0)
+        assert queue.push(pack_prefetch(0))
+        assert queue.push(pack_prefetch(64))
+        assert not queue.push(pack_prefetch(128))
         assert queue.dropped_full == 1
 
     def test_drain_limit_default(self):
         queue = PrefetchQueue(capacity=16, drain_per_access=3)
         for i in range(10):
-            queue.push(PrefetchRequest(address=i * 64), 0)
+            queue.push(pack_prefetch(i * 64))
         assert len(queue.drain()) == 3
         assert len(queue) == 7
 
     def test_drain_all(self):
         queue = PrefetchQueue(capacity=16)
         for i in range(5):
-            queue.push(PrefetchRequest(address=i * 64), 0)
+            queue.push(pack_prefetch(i * 64))
         assert len(queue.drain_all()) == 5
         assert len(queue) == 0
 
@@ -45,12 +45,12 @@ class TestPrefetchQueue:
     def test_is_full(self):
         queue = PrefetchQueue(capacity=1)
         assert not queue.is_full
-        queue.push(PrefetchRequest(address=0), 0)
+        queue.push(pack_prefetch(0))
         assert queue.is_full
 
     def test_clear(self):
         queue = PrefetchQueue(capacity=4)
-        queue.push(PrefetchRequest(address=0), 0)
+        queue.push(pack_prefetch(0))
         queue.clear()
         assert len(queue) == 0
 

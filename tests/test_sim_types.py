@@ -7,14 +7,15 @@ from repro.sim.types import (
     BLOCK_SIZE,
     MemoryAccess,
     PrefetchHint,
-    PrefetchRequest,
     address_from_region_offset,
     block_address,
     block_number,
     block_offset_in_region,
     blocks_per_region,
+    pack_prefetch,
     region_base_address,
     region_number,
+    unpack_prefetch,
 )
 
 
@@ -100,15 +101,25 @@ class TestMemoryAccess:
 
 
 class TestPrefetchRequest:
+    """A prefetch request is one packed int: ``block << 1 | to_l1``."""
+
     def test_defaults(self):
-        request = PrefetchRequest(address=128)
-        assert request.hint is PrefetchHint.L1
-        assert request.block == 2
+        packed = pack_prefetch(128)
+        assert packed == 2 << 1 | 1
+        assert unpack_prefetch(packed) == (2, PrefetchHint.L1)
 
     def test_hint_levels_are_ordered(self):
         assert PrefetchHint.L1.value < PrefetchHint.L2.value < PrefetchHint.LLC.value
 
     def test_request_is_frozen(self):
-        request = PrefetchRequest(address=128)
-        with pytest.raises(AttributeError):
-            request.address = 0
+        # A packed request is a plain (immutable) int that round-trips;
+        # any address inside the block packs to the block, and every
+        # non-L1 hint decodes as an L2 fill.
+        for hint in (PrefetchHint.L1, PrefetchHint.L2):
+            packed = pack_prefetch(130, hint)
+            assert type(packed) is int
+            assert unpack_prefetch(packed) == (2, hint)
+        assert unpack_prefetch(pack_prefetch(128, PrefetchHint.LLC)) == (
+            2,
+            PrefetchHint.L2,
+        )

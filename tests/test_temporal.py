@@ -16,7 +16,7 @@ from repro.prefetchers import create_prefetcher
 from repro.prefetchers.compiled import compiled_twin
 from repro.prefetchers.temporal import GHBMarkovPrefetcher, TriangelPrefetcher
 from repro.sim.simulator import simulate_trace
-from repro.sim.types import AccessResult
+from repro.sim.types import AccessResult, unpack_prefetch
 from repro.workloads.trace import TraceSpec
 
 PC = 0x400
@@ -27,8 +27,8 @@ def _train_sequence(prefetcher, blocks, pc=PC, start_cycle=0):
     issued = []
     cycle = start_cycle
     for block in blocks:
-        for request in prefetcher.train(pc, block * 64, cycle):
-            issued.append(request.address // 64)
+        for packed in prefetcher.train(pc, block * 64, cycle):
+            issued.append(unpack_prefetch(packed)[0])
         cycle += 1
     return issued, cycle
 
@@ -48,7 +48,7 @@ class TestGHBMarkov:
         issued = []
         for i, block in enumerate(seq[:20]):
             requests = p.train(PC, block * 64, cycle + i)
-            targets = [r.address // 64 for r in requests]
+            targets = [unpack_prefetch(p)[0] for p in requests]
             expected = [seq[(i + 2) % len(seq)], seq[(i + 3) % len(seq)]]
             assert targets == expected
             issued.extend(targets)
@@ -127,7 +127,7 @@ class TestTriangel:
         _, cycle = _train_sequence(p, seq * 2)
         for i, block in enumerate(seq[:16]):
             requests = p.train(PC, block * 64, cycle + i)
-            targets = [r.address // 64 for r in requests]
+            targets = [unpack_prefetch(p)[0] for p in requests]
             # One Markov hop lands ``distance`` ahead, the second doubles it.
             expected = [seq[(i + 4) % len(seq)], seq[(i + 8) % len(seq)]]
             assert targets == expected
