@@ -3,8 +3,9 @@
 Four sub-checks, all motivated by the kernel work of PRs 3-8:
 
 - **Slots in hot modules.**  The modules whose instances are created or
-  touched per simulated access (caches, core model, batch kernel,
-  driver glue, array tables, the shared spatial front end) must keep
+  touched per simulated access (caches, core model, batch kernel, the
+  single- and multi-core drivers, driver glue, array tables, the shared
+  spatial front end) must keep
   every self-contained class slotted: an accidental ``__dict__`` on a
   per-access type is an easy 2x memory/miss regression.  Classes whose
   bases live outside the module (ABCs, Enums, the dict-based
@@ -42,7 +43,9 @@ HOT_MODULES = frozenset(
         "src/repro/sim/dram.py",
         "src/repro/sim/driver.py",
         "src/repro/sim/hierarchy.py",
+        "src/repro/sim/multicore.py",
         "src/repro/sim/prefetch_queue.py",
+        "src/repro/sim/simulator.py",
         "src/repro/sim/stats.py",
         "src/repro/sim/types.py",
         "src/repro/prefetchers/tables.py",

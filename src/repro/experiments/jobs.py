@@ -58,11 +58,11 @@ class SimulationJob:
     pairs forwarded to the factory, so configured designs (e.g. Gaze with a
     512 B region for Fig. 17) are expressed by value and stay picklable.
 
-    ``batch`` selects the simulation kernel (see
+    ``batch`` selects the simulator's inner loop (see
     :meth:`repro.sim.simulator.SingleCoreSimulator.run`): ``"auto"`` (the
-    default) runs generated traces through the batched kernel with a
-    per-process decoded-trace memo (file-backed traces chunk by chunk) and
-    ``"off"`` forces the scalar kernel.  Like
+    default) runs the batched loop and ``"off"`` forces the scalar loop.
+    Either reads generated traces from a per-process decoded-trace memo
+    and file-backed traces chunk by chunk.  Like
     :attr:`MixSimulationJob.kernel` it is an *execution* detail — results
     are bit-identical for every value — so it is deliberately excluded
     from :meth:`to_dict` and :meth:`key`.
@@ -275,12 +275,11 @@ def batched_trace_cached(spec: TraceSpec, length: int) -> BatchedTrace:
 
     Decodes from the materialized-trace memo when that entry already
     exists (free), but otherwise from a *transient* build that is not
-    inserted into :data:`_TRACE_CACHE` — default ``batch="auto"``
-    single-core jobs only ever read the decoded arrays, and pinning the
-    much larger access-object list next to them would roughly triple the
-    steady-state trace memory of every worker process.  Consumers that
-    need the list (mix jobs, the runner's baseline helpers) populate the
-    trace memo on demand as before.
+    inserted into :data:`_TRACE_CACHE` — simulation jobs only ever read
+    the decoded arrays, and pinning the much larger access-object list
+    next to them would roughly triple the steady-state trace memory of
+    every worker process.  Consumers that need the list (the runner's
+    baseline helpers) populate the trace memo on demand as before.
     """
     key = (spec.content_key(), length)
     cached = _BATCHED_CACHE.get(key)
@@ -300,17 +299,14 @@ def batched_trace_cached(spec: TraceSpec, length: int) -> BatchedTrace:
 def _trace_for_job(job: SimulationJob):
     """The job's trace in the shape the simulator should consume.
 
-    Generator specs return the per-process memoized *decoded* trace (the
-    batched kernel's input) unless the job opts out with ``batch="off"``,
-    which falls back to the materialized list.  File-backed specs return a
-    re-openable streaming handle so the simulation runs in O(1) memory
-    whatever the trace length (the content digest in the job key keeps
-    cache identity exact).
+    Generator specs return the per-process memoized *decoded* trace, which
+    every inner loop reads (``batch`` only picks the loop).  File-backed
+    specs return a re-openable streaming handle so the simulation runs in
+    O(chunk) memory whatever the trace length (the content digest in the
+    job key keeps cache identity exact).
     """
     if job.spec.source is not None:
         return job.spec.replayable(length=job.trace_length)
-    if job.batch == "off":
-        return build_trace_cached(job.spec, job.trace_length)
     return batched_trace_cached(job.spec, job.trace_length)
 
 
@@ -318,20 +314,17 @@ def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
     """Run one multi-core mix job to completion and return its statistics.
 
     Pure with respect to ``job``: trace specs are seed-deterministic or
-    digest-pinned, and the round-robin schedule is deterministic.
-    Compiled jobs take the decoded traces the C driver reads; the Python
-    schedule keeps the materialized lists its per-access step indexes.
+    digest-pinned, and the round-robin schedule is deterministic.  Both
+    schedules — Python and C — read the memoized decoded traces.
     """
     traces = []
     for spec in job.specs:
         if spec.source is not None:
             # Re-openable streaming handle: the mix replays it by
-            # re-opening, so file-backed cores run in O(1) memory.
+            # re-opening, so file-backed cores run in O(chunk) memory.
             traces.append(spec.replayable(length=job.trace_length))
-        elif job.kernel == "compiled":
-            traces.append(batched_trace_cached(spec, job.trace_length))
         else:
-            traces.append(build_trace_cached(spec, job.trace_length))
+            traces.append(batched_trace_cached(spec, job.trace_length))
     if job.is_baseline:
         prefetcher_factory = None
     else:

@@ -1,14 +1,14 @@
-"""Array-decoded traces for the batched simulation kernel.
+"""Array-decoded traces: the one trace form inside the simulator.
 
-The scalar kernel walks a trace as a sequence of
-:class:`~repro.sim.types.MemoryAccess` objects; every access costs four or
-five slotted-attribute reads before any simulation happens.  The batched
-kernel instead consumes a :class:`BatchedTrace`: the same trace *decoded
-once* into parallel arrays (addresses, PCs, instruction gaps, access kinds,
-plus cache-block numbers precomputed with the existing mask-based geometry),
-so the hot loop reads plain integers by index and the chunked L1-hit fast
-path (:meth:`repro.sim.cache.Cache.demand_hit_run`) can scan whole runs of
-consecutive accesses without touching a single access object.
+Every simulator loop — the scalar reference loop, the batched Python loop,
+the C driver and the multi-core step — reads a :class:`BatchedTrace`: a
+trace *decoded once* into parallel arrays (addresses, PCs, instruction
+gaps, access kinds, plus cache-block numbers precomputed with the existing
+mask-based geometry), so the hot loops read plain integers by index and
+the chunked L1-hit fast path (:meth:`repro.sim.cache.Cache.demand_hit_run`)
+can scan whole runs of consecutive accesses without touching a single
+access object.  Streamed sources arrive as a :class:`ChunkedTraceStream`
+of bounded-size :class:`BatchedTrace` chunks.
 
 Layout notes:
 
@@ -21,18 +21,19 @@ Layout notes:
 * ``blocks[i] == addresses[i] >> BLOCK_SHIFT`` is precomputed because both
   the run-length residency probe and the inlined L1-hit path key their set
   lookups on block numbers.
-* ``instruction_total`` is the exact value
-  :func:`repro.sim.simulator._count_instructions` would compute, cached at
-  decode time so an unbudgeted run never pays a counting pass.
+* ``instruction_total`` (memory plus non-memory instructions) is computed
+  at decode time, so a run never pays a counting pass over a materialized
+  trace.
 
 A :class:`BatchedTrace` is also a read-only ``Sequence[MemoryAccess]``
-(items are reconstructed on demand), so every scalar consumer — the scalar
-kernel under ``batch="off"``, trace statistics, format writers — accepts one
-transparently.
+(items are reconstructed on demand) for code outside the simulator —
+trace statistics, format writers, tests.  No simulator loop uses that
+view.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.sim.types import AccessType, MemoryAccess, BLOCK_SHIFT
@@ -138,25 +139,25 @@ DEFAULT_CHUNK_ACCESSES = 8192
 
 
 class ChunkedTraceStream:
-    """Re-openable access source decoded into bounded-size batched chunks.
+    """Access source decoded into bounded-size batched chunks.
 
-    Bridges streamed traces (e.g. :class:`repro.workloads.formats.TraceFile`)
-    and the batched kernel: instead of materializing the whole trace or
-    falling back to the scalar kernel, the simulator pulls successive
-    :class:`BatchedTrace` chunks of at most ``chunk_accesses`` accesses —
-    the batched kernel's throughput at O(chunk) memory.
+    Bridges streamed traces (e.g. :class:`repro.workloads.formats.TraceFile`,
+    or a one-shot iterator) and the simulator: instead of materializing the
+    whole trace, the simulator pulls successive :class:`BatchedTrace`
+    chunks of at most ``chunk_accesses`` accesses — the array loops'
+    throughput at O(chunk) memory.
 
     One pass = one iteration of ``source``; :meth:`next_chunk` returns
     ``None`` at the end of a pass and re-opens the source on the following
-    call, so replay semantics (for bounded instruction budgets) match the
-    scalar streamed path exactly.
+    call.  A one-shot iterator cannot re-open (:attr:`reopenable` is false),
+    so it has exactly one pass.
 
-    Chunks feed either driver unchanged: the Python batched kernel, or —
-    under ``kernel="compiled"`` — the C ``DriverKernel``
+    Chunks feed every loop unchanged: the scalar and batched Python loops,
+    or — under ``kernel="compiled"`` — the C ``DriverKernel``
     (:mod:`repro.sim.driver`), which consumes one chunk per call.
     """
 
-    __slots__ = ("source", "chunk_accesses", "_iterator")
+    __slots__ = ("source", "chunk_accesses", "_iterator", "_pass_total")
 
     def __init__(self, source, chunk_accesses: int = DEFAULT_CHUNK_ACCESSES) -> None:
         if chunk_accesses <= 0:
@@ -164,6 +165,12 @@ class ChunkedTraceStream:
         self.source = source
         self.chunk_accesses = chunk_accesses
         self._iterator: Optional[Iterator[MemoryAccess]] = None
+        self._pass_total: Optional[int] = None
+
+    @property
+    def reopenable(self) -> bool:
+        """Whether ``source`` can be iterated again from the start."""
+        return not hasattr(self.source, "__next__")
 
     def next_chunk(self) -> Optional[BatchedTrace]:
         """Decode and return the next chunk of the current pass.
@@ -173,58 +180,21 @@ class ChunkedTraceStream:
         """
         if self._iterator is None:
             self._iterator = iter(self.source)
-        iterator = self._iterator
-        addresses: List[int] = []
-        pcs: List[int] = []
-        gaps: List[int] = []
-        kinds = bytearray()
-        blocks: List[int] = []
-        total = 0
-        count = 0
-        limit = self.chunk_accesses
-        load = AccessType.LOAD
-        store = AccessType.STORE
-        for access in iterator:
-            address = access.address
-            gap = access.instr_gap
-            access_type = access.access_type
-            addresses.append(address)
-            pcs.append(access.pc)
-            gaps.append(gap)
-            kinds.append(
-                KIND_LOAD
-                if access_type is load
-                else (KIND_STORE if access_type is store else KIND_OTHER)
-            )
-            blocks.append(address >> BLOCK_SHIFT)
-            total += gap + 1
-            count += 1
-            if count >= limit:
-                break
-        if not count:
+        chunk = BatchedTrace.from_accesses(
+            islice(self._iterator, self.chunk_accesses)
+        )
+        if not chunk.addresses:
             self._iterator = None
             return None
-        return BatchedTrace(addresses, pcs, gaps, kinds, blocks, total)
+        return chunk
 
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        """A fresh scalar pass over the underlying source (for counting)."""
-        return iter(self.source)
+    def pass_instructions(self) -> Optional[int]:
+        """One pass's instruction total, or ``None`` for a one-shot source.
 
-
-def decode_trace(source) -> Optional[BatchedTrace]:
-    """Decode ``source`` into a :class:`BatchedTrace`, or ``None``.
-
-    Accepts an existing :class:`BatchedTrace` (returned as-is) or any
-    materialized sequence of access records.  Sources that stream (no
-    ``__len__``) or whose items do not look like accesses return ``None``
-    so callers can fall back to the scalar kernel; decode is strictly an
-    optimization, never a requirement.
-    """
-    if isinstance(source, BatchedTrace):
-        return source
-    if not isinstance(source, (list, tuple)):
-        return None
-    try:
-        return BatchedTrace.from_accesses(source)
-    except (AttributeError, TypeError):
-        return None
+        Counted on a fresh iterator, so the current pass is not disturbed,
+        and memoized: the source is deterministic, so one counting pass
+        serves every caller.
+        """
+        if self._pass_total is None and self.reopenable:
+            self._pass_total = sum(access.instr_gap + 1 for access in self.source)
+        return self._pass_total

@@ -37,9 +37,11 @@ N-core mix             round-robin ``run_mix`` loop, one kernel per
                        runs, one LLC/DRAM state shared by all cores
 =====================  ==============================================
 
-What is left to decline is geometry and run shape: a scalar execution
-path, non-plain cache or DRAM objects, non-power-of-two set counts, extra
-eviction listeners, or a hierarchy with prefetches in flight.
+What is left to decline is geometry and run shape: ``batch="off"``,
+non-plain cache or DRAM objects, non-power-of-two set counts, extra
+eviction listeners, or a hierarchy with prefetches in flight.  Every
+trace source reaches the driver as decoded columns, one-shot iterators
+included.
 
 **The Python callback protocol.**  ``train(pc, address, cycle, result)``
 receives one of five ``AccessResult`` objects the kernel reuses for every
@@ -313,8 +315,9 @@ class CompiledDriver:
     def run_batch(self, replayer, instruction_budget: Optional[int]) -> None:
         """Run one ``_execute_batched`` call's worth of trace in C.
 
-        ``replayer._batched`` holds the :class:`~repro.sim.batch.BatchedTrace`
-        (a whole trace or one streamed chunk); position/replay bookkeeping
+        ``replayer._batched`` holds the current
+        :class:`~repro.sim.batch.BatchedTrace` (a whole trace or one
+        streamed chunk); position/replay bookkeeping
         round-trips through the kernel so chunked resume, warmup cuts and
         budget cuts behave exactly like the Python driver.  Core progress
         and statistics sync back *every* call: the simulator reads
@@ -323,7 +326,7 @@ class CompiledDriver:
         """
         trace = replayer._batched
         budget = -1 if instruction_budget is None else instruction_budget
-        index, replays, _executed, yielded = self._kernel.run(
+        index, replays, _executed, _yielded = self._kernel.run(
             trace.addresses,
             trace.pcs,
             trace.blocks,
@@ -335,8 +338,6 @@ class CompiledDriver:
         )
         replayer._index = index
         replayer.replays = replays
-        if yielded:
-            replayer.yielded_any = True
         self.sync()
 
     def sync(self) -> None:

@@ -13,7 +13,9 @@ update lands in a discarded sink.
 Cores are interleaved access-by-access in a round-robin fashion, so
 contention appears through the shared LLC contents and through the DRAM
 channel-occupancy model.  :meth:`_CoreContext.step` executes one access of
-one core; it is the single Python model of a mix.
+one core, read from the core's decoded trace columns (the single-core
+simulator's cursor, :class:`~repro.sim.simulator._TraceReplayer`); it is
+the single Python model of a mix.
 
 Under ``kernel="compiled"`` the same schedule runs in the C driver when
 the extension is built: every core attaches a
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.sim.batch import decode_trace
 from repro.sim.cache import Cache
 from repro.sim.config import SystemConfig, default_system_config
 from repro.sim.cpu import CoreTimingModel
@@ -38,10 +39,24 @@ from repro.sim.dram import DRAMModel
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.simulator import KERNEL_MODES, _TraceReplayer, resolve_kernel
 from repro.sim.stats import MultiCoreStats, SimulationStats
-from repro.sim.types import AccessType, MemoryAccess
+from repro.sim.types import MemoryAccess
+
 
 class _CoreContext:
     """Per-core bookkeeping used by the multi-core driver."""
+
+    __slots__ = (
+        "core_id",
+        "prefetcher",
+        "stats",
+        "hierarchy",
+        "core",
+        "replayer",
+        "executed_instructions",
+        "budget",
+        "measuring",
+        "driver",
+    )
 
     def __init__(
         self,
@@ -71,10 +86,10 @@ class _CoreContext:
             if self._notify_prefetcher_eviction not in listeners:
                 listeners.append(self._notify_prefetcher_eviction)
         # Mixes replay traces indefinitely to keep pressuring shared
-        # resources, so the source must be replayable: materialized
-        # sequences and re-openable handles (TraceFile) are used as-is —
-        # the latter replay by re-opening, keeping memory O(1) — while
-        # one-shot iterators are materialized.
+        # resources, so the source must be replayable: materialized traces
+        # and re-openable handles (TraceFile) are used as-is — the latter
+        # replay by re-opening, keeping memory O(chunk) — while one-shot
+        # iterators are materialized.
         if hasattr(trace, "__next__"):
             trace = list(trace)
         self.replayer = _TraceReplayer(trace)
@@ -93,28 +108,35 @@ class _CoreContext:
         """Execute one memory access (plus its preceding non-memory gap)."""
         core = self.core
         hierarchy = self.hierarchy
-        access = self.replayer.next_access(replay=True)
-        gap = access.instr_gap
+        prefetcher = self.prefetcher
+        replayer = self.replayer
+        batched = replayer._batched
+        index = replayer._index
+        gap = batched.gaps[index]
+        kind = batched.kinds[index]
+        address = batched.addresses[index]
+        pc = batched.pcs[index]
+        index += 1
+        if index < len(batched.addresses):
+            replayer._index = index
+        else:
+            replayer.wrap()
         if gap > 0:
             core.advance_non_memory(gap)
         issue_cycle = core.begin_memory_access()
-        self.executed_instructions += gap + 1
+        executed = self.executed_instructions + gap + 1
+        self.executed_instructions = executed
 
         hierarchy.issue_queued_prefetches(issue_cycle)
-        access_type = access.access_type
-        result = hierarchy.demand_access(
-            access.address, issue_cycle, access_type is AccessType.STORE
-        )
+        result = hierarchy.demand_access(address, issue_cycle, kind == 1)
         core.complete_memory_access(result.latency)
 
-        if self.prefetcher is not None and access_type is AccessType.LOAD:
-            requests = self.prefetcher.train(
-                access.pc, access.address, issue_cycle, result
-            )
+        if kind == 0 and prefetcher is not None:
+            requests = prefetcher.train(pc, address, issue_cycle, result)
             if requests:
                 hierarchy.enqueue_prefetches(requests)
 
-        if self.measuring and self.executed_instructions >= self.budget:
+        if self.measuring and executed >= self.budget:
             self.close_measurement()
 
     def close_measurement(self) -> None:
@@ -147,6 +169,15 @@ class _CoreContext:
 
 class MultiCoreSimulator:
     """Runs an ``n``-core mix with a shared LLC and DRAM."""
+
+    __slots__ = (
+        "config",
+        "num_cores",
+        "prefetcher_factory",
+        "name",
+        "kernel",
+        "kernel_decline_reason",
+    )
 
     def __init__(
         self,
@@ -182,14 +213,21 @@ class MultiCoreSimulator:
     ) -> MultiCoreStats:
         """Simulate the mix; ``traces`` must contain one trace per core.
 
-        Each entry may be a materialized access sequence or a re-openable
-        streaming handle (:class:`repro.workloads.formats.TraceFile`);
-        handles are replayed by re-opening, so an n-core mix over file
-        traces runs in O(1) memory per core.
+        Each entry may be a materialized access sequence, a
+        :class:`~repro.sim.batch.BatchedTrace` or a re-openable streaming
+        handle (:class:`repro.workloads.formats.TraceFile`); handles are
+        replayed by re-opening, so an n-core mix over file traces runs in
+        O(chunk) memory per core.  ``max_instructions_per_core`` must be
+        at least 1.
 
         Every call starts from a cold shared LLC and DRAM, so repeated runs
         on one simulator equal runs on fresh ones.
         """
+        if max_instructions_per_core < 1:
+            raise ValueError(
+                "max_instructions_per_core must be at least 1, "
+                f"got {max_instructions_per_core}"
+            )
         if len(traces) != self.num_cores:
             raise ValueError(
                 f"expected {self.num_cores} traces, got {len(traces)}"
@@ -233,15 +271,16 @@ class MultiCoreSimulator:
         """The exact schedule in the C driver, or :meth:`_run_exact`.
 
         Every core must attach a driver (the same decline predicate as a
-        single-core run) and every trace must be materialized; otherwise
-        the whole mix runs in Python and the reason is recorded.
+        single-core run) and every trace must be one materialized
+        :class:`~repro.sim.batch.BatchedTrace`, whose columns the C loop
+        reads as they are; otherwise the whole mix runs in Python and the
+        reason is recorded.
         """
         from repro.sim.driver import CompiledDriver, run_mix
 
-        sequences = [context.replayer._sequence for context in contexts]
         drivers = []
         reason = None
-        if any(sequence is None for sequence in sequences):
+        if any(context.replayer._stream is not None for context in contexts):
             reason = "file-backed trace handle in mix"
         else:
             for context in contexts:
@@ -257,7 +296,7 @@ class MultiCoreSimulator:
             return
         for context, driver in zip(contexts, drivers):
             context.driver = driver
-        run_mix(contexts, drivers, [decode_trace(s) for s in sequences])
+        run_mix(contexts, drivers, [context.replayer._batched for context in contexts])
 
     def _run_exact(self, contexts: List[_CoreContext]) -> None:
         """Round-robin access-by-access interleaving."""

@@ -9,14 +9,17 @@ the caches and the prefetcher without counting statistics, then a measured
 phase of a configurable number of instructions; traces that end early are
 replayed from the start.
 
-``_execute`` is the innermost loop of every experiment: all hot methods are
-bound to locals once per call, and fully-materialized traces run through a
-dedicated indexing loop that avoids the per-access source-shape branching of
-:meth:`_TraceReplayer.next_access`.
+Every trace source is decoded once into columns
+(:class:`~repro.sim.batch.BatchedTrace`: addresses, PCs, gaps, access
+kinds, blocks) and read through one cursor, :class:`_TraceReplayer` — a
+materialized trace as one chunk, a streamed one chunk by chunk.
+:meth:`SingleCoreSimulator._execute` is the one outer loop over chunks; an
+inner loop runs over one chunk's columns.  The scalar inner loop
+(:meth:`SingleCoreSimulator._execute_scalar`) calls the core model's and
+the hierarchy's methods access by access and is the reference.
 
-On top of the scalar kernel sits the **batched** kernel
-(:meth:`SingleCoreSimulator._execute_batched`): one per-access loop over
-traces decoded into parallel arrays (:class:`~repro.sim.batch.BatchedTrace`),
+The **batched** inner loop
+(:meth:`SingleCoreSimulator._execute_batched`) runs the same accesses
 with the demand chain and the core timing inlined against locals.  Without
 a prefetcher, a quiescent hierarchy (MSHR file and prefetch queue empty)
 lets the loop retire whole runs of consecutive pure L1 hits at once
@@ -30,15 +33,15 @@ statistics — the golden-stats suite pins this.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from repro.sim.batch import BatchedTrace, ChunkedTraceStream, decode_trace
+from repro.sim.batch import BatchedTrace, ChunkedTraceStream
 from repro.sim.cache import Cache, CacheBlock, MSHREntry
 from repro.sim.config import SystemConfig, default_system_config
 from repro.sim.cpu import CoreTimingModel
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.stats import SimulationStats
-from repro.sim.types import AccessResult, AccessType, MemoryAccess
+from repro.sim.types import AccessResult, MemoryAccess
 
 #: Accepted values of the ``batch`` execution knob.
 BATCH_MODES = ("auto", "off")
@@ -93,137 +96,102 @@ def batched_decline_reason(hierarchy: CacheHierarchy) -> Optional[str]:
     return None
 
 
-def _count_instructions(accesses: Iterable[MemoryAccess]) -> int:
-    """Total instructions carried by ``accesses`` (memory + gap)."""
-    return sum(a.instr_gap + 1 for a in accesses)
-
-
 class _TraceReplayer:
-    """Iterator over a trace source, optionally replaying from the start.
+    """Cursor over a trace's decoded columns, replaying from the start.
 
-    Three source shapes are accepted:
+    Every source becomes :class:`~repro.sim.batch.BatchedTrace` columns
+    here, once:
 
-    * a ``list``/``tuple`` — indexed replay, the fully-materialized fast
-      path (unchanged pre-streaming behaviour);
-    * a *re-openable* iterable (e.g.
-      :class:`repro.workloads.formats.TraceFile`) — each pass opens a
-      fresh iterator, so arbitrarily long traces replay in O(1) memory;
-    * a one-shot iterator — streamed once; it cannot replay, so it simply
-      ends when exhausted.
+    * a :class:`BatchedTrace` is used as it is, and a ``list``/``tuple`` of
+      accesses is decoded — one chunk holding the whole trace, which the
+      inner loops wrap at its end (``replays`` counts the wraps);
+    * any other iterable becomes a
+      :class:`~repro.sim.batch.ChunkedTraceStream` (unless it already is
+      one) that supplies bounded chunks in turn: a re-openable source
+      (e.g. :class:`repro.workloads.formats.TraceFile`) replays by
+      re-opening, so arbitrarily long traces run in O(chunk) memory, and
+      a one-shot iterator simply ends when exhausted.
+
+    ``_batched`` is the current chunk (``None`` between two passes of a
+    stream), ``_index`` the next access in it and ``_remaining`` the exact
+    instructions left in it.  The first chunk is loaded here, so an empty
+    source fails at construction.
     """
+
+    __slots__ = ("_batched", "_stream", "_index", "_remaining", "replays")
 
     def __init__(self, source) -> None:
         self.replays = 0
-        self.yielded_any = False
-        self._sequence: Optional[Sequence[MemoryAccess]] = None
-        self._batched: Optional[BatchedTrace] = None
-        self._chunked: Optional[ChunkedTraceStream] = None
-        self._chunk_replayer: "Optional[_TraceReplayer]" = None
-        self._chunk_remaining = 0
-        self._factory = None
-        self._iterator: Optional[Iterator[MemoryAccess]] = None
         self._index = 0
-        self._known_total: Optional[int] = None
-        if isinstance(source, ChunkedTraceStream):
-            # Chunk-wise batched execution of a re-openable stream; the
-            # underlying source doubles as the counting-pass factory.
-            # next_access() is never used on this shape (the chunked
-            # executor owns consumption), so no scalar iterator is opened.
-            self._chunked = source
-            self._factory = source.source
-        elif isinstance(source, BatchedTrace):
-            # Decoded arrays: the batched kernel drives these directly; the
-            # sequence view keeps every scalar code path working unchanged.
-            if not len(source):
-                raise ValueError("cannot simulate an empty trace")
+        self._remaining = 0
+        if isinstance(source, (list, tuple)):
+            source = BatchedTrace.from_accesses(source)
+        if isinstance(source, BatchedTrace):
             self._batched = source
-            self._sequence = source
-            self._known_total = source.instruction_total
-        elif isinstance(source, (list, tuple)):
-            if not source:
-                raise ValueError("cannot simulate an empty trace")
-            self._sequence = source
-        elif hasattr(source, "__next__"):
-            self._iterator = source
+            self._stream = None
+            loaded = len(source.addresses) > 0
         else:
-            self._factory = source
-            self._iterator = iter(source)
+            if not isinstance(source, ChunkedTraceStream):
+                source = ChunkedTraceStream(source)
+            self._stream = source
+            loaded = self.next_chunk()
+        if not loaded:
+            raise ValueError("cannot simulate an empty trace")
 
-    @property
-    def known_instruction_total(self) -> Optional[int]:
-        """Total instructions per pass, when the source is materialized.
+    def next_chunk(self) -> bool:
+        """Load the stream's next chunk; ``False`` at the end of a pass.
 
-        Memoized: the sum over the whole trace is computed at most once per
-        replayer, not once per caller.
+        The end of a pass counts as one replay and leaves no current
+        chunk; the following call re-opens the source.
         """
-        if self._sequence is None:
-            return None
-        if self._known_total is None:
-            self._known_total = _count_instructions(self._sequence)
-        return self._known_total
-
-    @property
-    def reopenable(self) -> bool:
-        """Whether the source can be iterated again from the start."""
-        return self._factory is not None
-
-    def count_pass_instructions(self) -> int:
-        """One pass's instruction total, via a dedicated counting pass.
-
-        Only valid for re-openable sources; the replay position is not
-        disturbed (a fresh iterator is opened just for counting).  Memoized
-        alongside :attr:`known_instruction_total` — the source is
-        deterministic, so one counting pass serves every caller.
-        """
-        if self._known_total is None:
-            self._known_total = _count_instructions(iter(self._factory))
-        return self._known_total
-
-    def next_access(self, replay: bool = True) -> Optional[MemoryAccess]:
-        """Return the next access, or ``None`` at the end of the trace.
-
-        With ``replay`` the trace restarts (re-opening streamed sources) so
-        only one-shot iterators ever end; without it, every source ends at
-        the end of its current pass — the single-pass semantics used when
-        no instruction budget bounds the run.
-        """
-        sequence = self._sequence
-        if sequence is not None:
-            if not replay and self.replays > 0:
-                return None
-            access = sequence[self._index]
-            self._index += 1
-            if self._index >= len(sequence):
-                self._index = 0
-                self.replays += 1
-            self.yielded_any = True
-            return access
-        try:
-            access = next(self._iterator)
-        except StopIteration:
+        chunk = self._stream.next_chunk()
+        self._batched = chunk
+        self._index = 0
+        if chunk is None:
             self.replays += 1
-            if self._factory is None or not replay:
-                return None
-            self._iterator = iter(self._factory)
-            try:
-                access = next(self._iterator)
-            except StopIteration:
-                raise ValueError("cannot simulate an empty trace") from None
-        self.yielded_any = True
-        return access
+            return False
+        self._remaining = chunk.instruction_total
+        return True
 
-    def __next__(self) -> MemoryAccess:
-        access = self.next_access(replay=True)
-        if access is None:
-            raise StopIteration
-        return access
+    def wrap(self) -> None:
+        """Step past the end of the current chunk, always replaying.
 
-    def __iter__(self) -> "Iterator[MemoryAccess]":
-        return self
+        The multi-core step's cursor move: at the end of a stream's pass
+        the source re-opens at once, so a chunk is always current.
+        """
+        if self._stream is None:
+            self._index = 0
+            self.replays += 1
+        elif not self.next_chunk() and not self.next_chunk():
+            raise ValueError("cannot simulate an empty trace")
+
+    def pass_instructions(self) -> Optional[int]:
+        """One pass's instruction total, or ``None`` for a one-shot stream.
+
+        A materialized trace knows it from decoding; a re-openable stream
+        pays one memoized counting pass (see
+        :meth:`~repro.sim.batch.ChunkedTraceStream.pass_instructions`).
+        """
+        if self._stream is None:
+            return self._batched.instruction_total
+        return self._stream.pass_instructions()
 
 
 class SingleCoreSimulator:
     """Runs one trace against one configured core + hierarchy + prefetcher."""
+
+    __slots__ = (
+        "config",
+        "prefetcher",
+        "kernel_mode",
+        "kernel_tier_used",
+        "kernel_decline_reason",
+        "_driver",
+        "_pending_export",
+        "stats",
+        "_hierarchy",
+        "core",
+    )
 
     def __init__(
         self,
@@ -300,85 +268,75 @@ class SingleCoreSimulator:
         ``trace`` may be a materialized sequence, a pre-decoded
         :class:`~repro.sim.batch.BatchedTrace`, a re-openable streaming
         handle (:class:`repro.workloads.formats.TraceFile`) or a one-shot
-        iterator; streamed sources are consumed lazily in O(1) memory.
+        iterator; every source is read as decoded columns (see
+        :class:`_TraceReplayer`), streamed ones chunk by chunk at bounded
+        memory.
 
-        ``batch`` selects the execution kernel — statistics are
-        bit-identical either way:
+        ``batch`` selects the inner loop — statistics are bit-identical
+        either way:
 
-        * ``"auto"`` (default): the batched kernel — pre-decoded traces
-          as-is, materialized sequences decoded here, re-openable streamed
-          sources decoded chunk by chunk at bounded memory; one-shot
-          iterators keep the scalar kernel (they cannot replay);
-        * ``"off"``: always the scalar kernel.
+        * ``"auto"`` (default): the batched loop (or, under
+          ``kernel="compiled"``, the C driver) when
+          :func:`batched_decline_reason` accepts the hierarchy, the scalar
+          loop otherwise;
+        * ``"off"``: always the scalar loop.
 
-        ``max_instructions`` bounds the measured phase (counting both memory
-        and non-memory instructions), replaying the trace as needed; when
-        omitted, exactly one full pass over the trace is simulated.
-        ``warmup_instructions`` are executed first with full
-        cache/prefetcher training but without resetting the cycle clock
-        (statistics counters are cleared at the boundary).
+        ``max_instructions`` (at least 1) bounds the measured phase
+        (counting both memory and non-memory instructions), replaying the
+        trace as needed; when omitted, exactly one full pass over the
+        trace is simulated.  ``warmup_instructions`` are executed first
+        with full cache/prefetcher training but without resetting the
+        cycle clock (statistics counters are cleared at the boundary).
         """
         if batch not in BATCH_MODES:
             raise ValueError(
                 f"unknown batch mode {batch!r}; expected one of {BATCH_MODES}"
             )
+        if max_instructions is not None and max_instructions < 1:
+            raise ValueError(
+                f"max_instructions must be at least 1, got {max_instructions}"
+            )
+        if warmup_instructions < 0:
+            raise ValueError(
+                "warmup_instructions must be non-negative, "
+                f"got {warmup_instructions}"
+            )
         if max_instructions is not None and hasattr(trace, "__next__"):
             # An explicit budget may require replaying past the end of the
-            # trace, which a one-shot iterator cannot do — materialize it
-            # (the historical behaviour).  Re-openable handles replay by
-            # re-opening and stay O(1)-memory.
-            trace = list(trace)
-        geometry_reason = batched_decline_reason(self.hierarchy)
-        if batch != "off" and geometry_reason is None:
-            decoded = decode_trace(trace)
-            if decoded is not None:
-                trace = decoded
-            elif not hasattr(trace, "__next__"):
-                # Re-openable streamed source (e.g. a TraceFile): run the
-                # batched kernel chunk-wise at bounded memory instead of
-                # falling back to the scalar kernel.  One-shot iterators
-                # keep the scalar path (they cannot replay).
-                trace = ChunkedTraceStream(trace)
-        elif isinstance(trace, BatchedTrace):
-            # batch="off" (or an unsupported geometry): the scalar kernel runs
-            # over a materialized copy so a pre-decoded trace cannot
-            # silently re-enter the batched kernel.
+            # trace, which a one-shot iterator cannot do — materialize it.
+            # Re-openable handles replay by re-opening and stay streamed.
             trace = list(trace)
         replayer = _TraceReplayer(trace)
-        self._attach_driver(replayer, geometry_reason)
+        scalar_reason = batched_decline_reason(self.hierarchy)
+        if scalar_reason is None and batch == "off":
+            scalar_reason = "batch=off"
+        loop = self._execute_scalar if scalar_reason else self._execute_batched
+        self._attach_driver(scalar_reason)
         driver = self._driver
 
         try:
             start_instr = 0
             start_cycles = 0.0
             if warmup_instructions > 0:
-                self._execute(replayer, warmup_instructions)
+                self._execute(replayer, warmup_instructions, loop)
                 self._reset_measurement_counters()
                 snapshot = self.core.snapshot()
                 start_instr = snapshot.instructions
                 start_cycles = snapshot.cycles
-
-            if max_instructions is None:
-                # Materialized traces keep the historical exact budget (one
-                # pass's instructions, wrapping mid-access never truncates);
-                # streamed traces run single-pass until exhaustion, which
-                # executes the identical access sequence.  When warmup consumed
-                # part of the stream, a re-openable source pays one counting
-                # pass so its measured budget matches the materialized path
-                # exactly (one-shot iterators measure the stream's remainder).
-                max_instructions = replayer.known_instruction_total
-                if max_instructions is None and warmup_instructions > 0:
-                    if replayer.reopenable:
-                        max_instructions = replayer.count_pass_instructions()
-            self._execute(replayer, max_instructions)
+                if max_instructions is None:
+                    # Warmup left the cursor mid-trace, so "one pass" is
+                    # measured as one pass's instructions: a materialized
+                    # trace knows them, a re-openable stream pays one
+                    # counting pass, a one-shot stream measures its
+                    # remainder.
+                    max_instructions = replayer.pass_instructions()
+            self._execute(replayer, max_instructions, loop)
             if driver is not None:
                 driver.flush(self.core.current_cycle)
         finally:
             if driver is not None:
                 self._driver = None
                 driver.detach()
-        if not replayer.yielded_any:
-            raise ValueError("cannot simulate an empty trace")
 
         if driver is None:
             self.hierarchy.flush_prefetches(self.core.current_cycle)
@@ -388,30 +346,24 @@ class SingleCoreSimulator:
         return self.stats
 
     # ------------------------------------------------------------------ #
-    def _attach_driver(
-        self, replayer: _TraceReplayer, geometry_reason: Optional[str]
-    ) -> None:
+    def _attach_driver(self, scalar_reason: Optional[str]) -> None:
         """Engage the C batched driver when requested and supported.
 
         Sets ``kernel_tier_used``/``kernel_decline_reason`` either way, so
         a ``kernel="compiled"`` run that silently fell back to the Python
-        driver is observable.  Only batched/chunked execution shapes
-        qualify: the scalar kernel has no C counterpart.  A run sent to the
-        scalar kernel by its geometry records ``geometry_reason`` (from
-        :func:`batched_decline_reason`), not the scalar path itself.
+        driver is observable.  ``scalar_reason`` says why the run takes
+        the scalar loop (``None`` when it takes the batched one): the
+        scalar loop has no C counterpart, so it is the decline reason — a
+        geometry from :func:`batched_decline_reason`, or ``batch=off``.
         """
         driver = None
         reason = None
         if self.kernel_mode == "compiled":
-            if replayer._batched is not None or replayer._chunked is not None:
+            reason = scalar_reason
+            if reason is None:
                 from repro.sim.driver import CompiledDriver
 
                 driver, reason = CompiledDriver.try_attach(self)
-            else:
-                reason = (
-                    geometry_reason
-                    or "scalar execution path (batch=off or one-shot stream)"
-                )
         self._driver = driver
         if driver is not None:
             self.kernel_tier_used = "compiled-driver"
@@ -422,15 +374,69 @@ class SingleCoreSimulator:
             self.kernel_decline_reason = reason
 
     def _execute(
+        self, replayer: _TraceReplayer, instruction_budget: Optional[int], loop
+    ) -> None:
+        """Execute until the budget is spent (``None`` = one full pass).
+
+        The one outer loop over a trace's chunks, whatever the inner
+        ``loop``: :meth:`_execute_scalar`, or :meth:`_execute_batched`
+        (and through it the C driver).  A materialized trace is a single
+        chunk that the inner loop wraps itself.  A stream's chunks run in
+        turn, each capped at its exact remaining instructions, so the
+        inner loop's wrap at a chunk's end marks the chunk done, not a
+        replay.  A bounded run replays by re-opening the source at the end
+        of a pass, an unbounded run stops after one pass, and the access
+        that exhausts the budget executes in full (every inner loop applies
+        the same per-access stopping rule).  A partly consumed chunk
+        (warmup boundary, budget exhaustion) stays current, so consecutive
+        calls resume mid-chunk.
+        """
+        if replayer._stream is None:
+            loop(replayer, instruction_budget)
+            return
+        core = self.core
+        unbounded = instruction_budget is None
+        executed = 0
+        while unbounded or executed < instruction_budget:
+            if replayer._batched is None:
+                # Between two passes: a bounded run re-opens the source (an
+                # exhausted one-shot iterator yields no chunk and ends it).
+                if unbounded or not replayer.next_chunk():
+                    break
+            remaining = replayer._remaining
+            step = remaining
+            if not unbounded and instruction_budget - executed < remaining:
+                step = instruction_budget - executed
+            replays = replayer.replays
+            before = core._instr_count
+            loop(replayer, step)
+            done = core._instr_count - before
+            executed += done
+            remaining -= done
+            replayer._remaining = remaining
+            if remaining <= 0:
+                # The inner loop wrapped the finished chunk: not a replay.
+                replayer.replays = replays
+                replayer.next_chunk()
+
+    def _execute_scalar(
         self, replayer: _TraceReplayer, instruction_budget: Optional[int]
     ) -> None:
-        """Execute until the budget is spent (``None`` = one full pass)."""
-        if replayer._chunked is not None:
-            self._execute_chunked(replayer, instruction_budget)
-            return
-        if replayer._batched is not None:
-            self._execute_batched(replayer, instruction_budget)
-            return
+        """The scalar loop: one access at a time through the object methods.
+
+        Runs the core model's and the hierarchy's own methods
+        (``begin_memory_access``, ``demand_access``, ``train``, ...) over
+        the current chunk's columns, so it is the reference every faster
+        loop is compared against.  A bounded run wraps the chunk
+        indefinitely, an unbounded run stops after one pass, and the access
+        that exhausts the budget still executes in full.
+        """
+        batched = replayer._batched
+        gaps = batched.gaps
+        kinds = batched.kinds
+        addresses = batched.addresses
+        pcs = batched.pcs
+        length = len(addresses)
         unbounded = instruction_budget is None
         executed = 0
 
@@ -448,59 +454,20 @@ class SingleCoreSimulator:
         # check is a C-level truthiness test, not a method call.
         pending_prefetches = hierarchy.prefetch_queue._queue
         train = prefetcher.train if prefetcher is not None else None
-        load = AccessType.LOAD
-        store = AccessType.STORE
 
-        sequence = replayer._sequence
-        if sequence is not None:
-            # Materialized fast path: direct indexing, no per-access source
-            # dispatch.  Replay semantics match next_access(): a bounded run
-            # wraps indefinitely, an unbounded run stops after one pass.
-            index = replayer._index
-            length = len(sequence)
-            yielded = False
-            while unbounded or executed < instruction_budget:
-                if unbounded and replayer.replays > 0:
-                    break
-                access = sequence[index]
-                index += 1
-                if index >= length:
-                    index = 0
-                    replayer.replays += 1
-                yielded = True
-
-                gap = access.instr_gap
-                if gap > 0:
-                    advance_non_memory(gap)
-                issue_cycle = begin_memory_access()
-                executed += gap + 1
-
-                if pending_prefetches:
-                    issue_queued_prefetches(issue_cycle)
-                access_type = access.access_type
-                result = demand_access(
-                    access.address, issue_cycle, access_type is store
-                )
-                complete_memory_access(result.latency)
-
-                if train is not None and access_type is load:
-                    requests = train(
-                        access.pc, access.address, issue_cycle, result
-                    )
-                    if requests:
-                        enqueue_prefetches(requests)
-            replayer._index = index
-            if yielded:
-                replayer.yielded_any = True
-            return
-
-        next_access = replayer.next_access
-        replay = not unbounded
+        index = replayer._index
         while unbounded or executed < instruction_budget:
-            access = next_access(replay=replay)
-            if access is None:
+            if unbounded and replayer.replays > 0:
                 break
-            gap = access.instr_gap
+            gap = gaps[index]
+            kind = kinds[index]
+            address = addresses[index]
+            pc = pcs[index]
+            index += 1
+            if index >= length:
+                index = 0
+                replayer.replays += 1
+
             if gap > 0:
                 advance_non_memory(gap)
             issue_cycle = begin_memory_access()
@@ -508,78 +475,22 @@ class SingleCoreSimulator:
 
             if pending_prefetches:
                 issue_queued_prefetches(issue_cycle)
-            access_type = access.access_type
-            result = demand_access(access.address, issue_cycle, access_type is store)
+            result = demand_access(address, issue_cycle, kind == 1)
             complete_memory_access(result.latency)
 
-            if train is not None and access_type is load:
-                requests = train(access.pc, access.address, issue_cycle, result)
+            if kind == 0 and train is not None:
+                requests = train(pc, address, issue_cycle, result)
                 if requests:
                     enqueue_prefetches(requests)
-
-    def _execute_chunked(
-        self, replayer: _TraceReplayer, instruction_budget: Optional[int]
-    ) -> None:
-        """Streamed batched execution: the batched kernel at O(chunk) memory.
-
-        Pulls successive :class:`BatchedTrace` chunks from the replayer's
-        :class:`~repro.sim.batch.ChunkedTraceStream` and drives each through
-        :meth:`_execute_batched`.  Semantics are identical to the scalar
-        streamed path: a bounded run replays by re-opening the source at
-        end-of-pass, an unbounded run stops after one pass, and the access
-        that exhausts the budget executes in full (the inner kernel applies
-        the same per-access stopping rule, and the chunk cap equals the
-        chunk's exact remaining instructions so it can never wrap within a
-        chunk).
-
-        A partially consumed chunk (warmup boundary, budget exhaustion)
-        persists on the replayer — ``_chunk_replayer`` holds the inner
-        position and ``_chunk_remaining`` its exact instruction remainder —
-        so consecutive ``_execute`` calls resume mid-chunk, exactly like
-        the scalar iterator resumes mid-stream.
-        """
-        stream = replayer._chunked
-        core = self.core
-        unbounded = instruction_budget is None
-        executed = 0
-        while unbounded or executed < instruction_budget:
-            inner = replayer._chunk_replayer
-            if inner is None:
-                chunk = stream.next_chunk()
-                if chunk is None:
-                    # End of one pass over the source.
-                    replayer.replays += 1
-                    if not replayer.yielded_any:
-                        break  # empty source: run() raises
-                    if unbounded:
-                        break  # single-pass semantics
-                    continue  # bounded: the next next_chunk() re-opens
-                replayer.yielded_any = True
-                inner = _TraceReplayer(chunk)
-                replayer._chunk_replayer = inner
-                replayer._chunk_remaining = chunk.instruction_total
-            remaining = replayer._chunk_remaining
-            if unbounded:
-                step = remaining
-            else:
-                left = instruction_budget - executed
-                step = remaining if remaining < left else left
-            before = core._instr_count
-            self._execute_batched(inner, step)
-            done = core._instr_count - before
-            executed += done
-            remaining -= done
-            replayer._chunk_remaining = remaining
-            if remaining <= 0:
-                replayer._chunk_replayer = None
+        replayer._index = index
 
     def _execute_batched(
         self, replayer: _TraceReplayer, instruction_budget: Optional[int]
     ) -> None:
         """The batched kernel: one per-access loop over decoded arrays.
 
-        Replay/budget semantics are identical to the scalar kernel's
-        materialized fast path — a bounded run wraps the arrays
+        Replay/budget semantics are identical to
+        :meth:`_execute_scalar`'s — a bounded run wraps the arrays
         indefinitely, an unbounded run stops after one pass, and the access
         that exhausts the budget still executes in full.  Statistics are
         bit-identical to the scalar kernel's (the golden-stats suite pins
@@ -694,7 +605,6 @@ class SingleCoreSimulator:
             issue = fetch
 
         index = replayer._index
-        yielded = False
 
         result_l1 = AccessResult(l1_latency, "L1D", False, False)
         result_l2 = AccessResult(lat_l2, "L2C", False, False)
@@ -749,7 +659,6 @@ class SingleCoreSimulator:
                     if index >= length:
                         index = 0
                         replayer.replays += 1
-                    yielded = True
                     continue
             gap = gaps[index]
             kind = kinds[index]
@@ -759,7 +668,6 @@ class SingleCoreSimulator:
             if index >= length:
                 index = 0
                 replayer.replays += 1
-            yielded = True
 
             # Inlined begin_memory_access.
             if gap > 0:
@@ -1139,8 +1047,6 @@ class SingleCoreSimulator:
         core._issue_position = instr
         core._issue_cycle = issue
         replayer._index = index
-        if yielded:
-            replayer.yielded_any = True
 
     def _reset_measurement_counters(self) -> None:
         """Clear statistics at the warm-up/measurement boundary.

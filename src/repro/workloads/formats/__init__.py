@@ -273,35 +273,12 @@ class TraceFile:
         Returns a :class:`repro.sim.batch.BatchedTrace` for the batched
         simulation kernel.  Unlike iteration, which streams in O(1) memory,
         the decoded arrays hold the entire trace; the simulator itself
-        streams files chunk by chunk (:meth:`decode_batched_chunks`).
+        streams files chunk by chunk
+        (:class:`repro.sim.batch.ChunkedTraceStream`).
         """
         from repro.sim.batch import BatchedTrace
 
         return BatchedTrace.from_accesses(iter(self))
-
-    def decode_batched_chunks(self, chunk_accesses: Optional[int] = None):
-        """Decode one (transformed) pass as bounded-size batched chunks.
-
-        Yields :class:`repro.sim.batch.BatchedTrace` chunks of at most
-        ``chunk_accesses`` accesses (default
-        :data:`repro.sim.batch.DEFAULT_CHUNK_ACCESSES`) — the batched
-        kernel's array layout at O(chunk) memory.  This is the decode the
-        simulator's ``batch="auto"`` path performs for file-backed traces;
-        exposed here for format tooling and tests.
-        """
-        from repro.sim.batch import DEFAULT_CHUNK_ACCESSES, ChunkedTraceStream
-
-        stream = ChunkedTraceStream(
-            self,
-            chunk_accesses=(
-                DEFAULT_CHUNK_ACCESSES if chunk_accesses is None else chunk_accesses
-            ),
-        )
-        while True:
-            chunk = stream.next_chunk()
-            if chunk is None:
-                return
-            yield chunk
 
     def digest(self) -> str:
         """Cached SHA-256 digest of the underlying file."""

@@ -15,10 +15,15 @@ import pytest
 
 from repro.prefetchers import available_prefetchers, create_prefetcher
 from repro.prefetchers.base import Prefetcher
-from repro.sim.batch import BatchedTrace, decode_trace
+from repro.sim.batch import BatchedTrace
 from repro.sim.cache import Cache, MSHRFile
 from repro.sim.config import CacheConfig, default_system_config
-from repro.sim.simulator import BATCH_MODES, SingleCoreSimulator, simulate_trace
+from repro.sim.simulator import (
+    BATCH_MODES,
+    SingleCoreSimulator,
+    _TraceReplayer,
+    simulate_trace,
+)
 from repro.sim.types import AccessType, MemoryAccess, PrefetchHint, pack_prefetch
 from repro.workloads import formats as trace_formats
 from repro.workloads.trace import TraceSpec
@@ -122,11 +127,18 @@ class TestBatchedTraceDecode:
         assert batched.blocks == [a >> 6 for a in batched.addresses]
 
     def test_decode_trace_accepts_lists_and_passes_batched_through(self):
+        # The simulator's cursor decodes a list once, reads a BatchedTrace
+        # as it is, and streams a one-shot iterator chunk by chunk.
         trace = _trace(length=50)
-        batched = decode_trace(trace)
-        assert isinstance(batched, BatchedTrace)
-        assert decode_trace(batched) is batched
-        assert decode_trace(iter(trace)) is None  # streams stay scalar
+        decoded = _TraceReplayer(trace)._batched
+        assert isinstance(decoded, BatchedTrace)
+        assert list(decoded) == trace
+        batched = BatchedTrace.from_accesses(trace)
+        assert _TraceReplayer(batched)._batched is batched
+        streamed = _TraceReplayer(iter(trace))
+        assert streamed._stream is not None
+        assert not streamed._stream.reopenable
+        assert list(streamed._batched) == trace
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -205,12 +217,20 @@ class TestBatchedScalarEquivalence:
         batched = simulate_trace(trace, warmup_instructions=warmup)
         _assert_identical(scalar, batched, f"warmup={warmup}")
 
-    def test_batch_off_over_predecoded_trace_runs_scalar(self):
+    def test_batch_off_over_predecoded_trace_runs_scalar(self, monkeypatch):
+        # The scalar loop reads the columns directly: it never rebuilds an
+        # access object from the BatchedTrace.
         trace = _trace(length=400)
         batched_input = BatchedTrace.from_accesses(trace)
-        scalar = simulate_trace(trace, batch="off")
-        via_view = simulate_trace(batched_input, batch="off")
-        _assert_identical(scalar, via_view, "batch=off over BatchedTrace")
+        reference = simulate_trace(trace)
+
+        def forbidden(*_args):
+            raise AssertionError("scalar loop rebuilt a MemoryAccess")
+
+        monkeypatch.setattr(BatchedTrace, "__getitem__", forbidden)
+        monkeypatch.setattr(BatchedTrace, "__iter__", forbidden)
+        scalar = simulate_trace(batched_input, batch="off")
+        _assert_identical(reference, scalar, "batch=off over BatchedTrace")
 
     @pytest.mark.parametrize("prefetcher_name", ["none", "gaze"])
     @pytest.mark.parametrize(

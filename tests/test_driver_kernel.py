@@ -350,7 +350,28 @@ class TestTierRecording:
             record_tier=True,
         )
         assert stats.extra["kernel_tier"] != "compiled-driver"
-        assert "scalar" in stats.extra["kernel_decline_reason"]
+        assert stats.extra["kernel_decline_reason"] == "batch=off"
+
+    @requires_driver
+    @pytest.mark.parametrize("warmup", [0, 5_000])
+    @pytest.mark.parametrize("name", ["none", "gaze", "sms"])
+    def test_one_shot_iterator_reaches_compiled_driver(self, name, warmup):
+        # A one-shot iterator streams in chunks like a file does, so it
+        # runs in the C driver; 10k accesses span two default chunks.
+        trace = _trace(length=10_000)
+
+        def run(kernel):
+            prefetcher = None if name == "none" else create_prefetcher(name)
+            return simulate_trace(
+                iter(trace), prefetcher=prefetcher, kernel=kernel,
+                warmup_instructions=warmup, record_tier=True,
+            )
+
+        reference = run("python")
+        compiled = run("compiled")
+        assert compiled.extra["kernel_tier"] == "compiled-driver"
+        assert "kernel_decline_reason" not in compiled.extra
+        _assert_identical(reference, compiled, f"one-shot {name}, warmup={warmup}")
 
     @requires_driver
     def test_non_power_of_two_l2_declines_with_reason(self):
@@ -378,6 +399,27 @@ class TestTierRecording:
         )
         assert stats.extra["kernel_tier"] == "python"
         assert "kernel_decline_reason" not in stats.extra
+
+
+class TestBudgetValidation:
+    """Budgets are checked once, in ``run``, the same way on every tier."""
+
+    @pytest.mark.parametrize("kernel", ["python", "compiled"])
+    @pytest.mark.parametrize("batch", ["auto", "off"])
+    @pytest.mark.parametrize(
+        "kwargs,parameter",
+        [
+            ({"max_instructions": 0}, "max_instructions"),
+            ({"max_instructions": -5}, "max_instructions"),
+            ({"warmup_instructions": -3}, "warmup_instructions"),
+        ],
+    )
+    def test_invalid_budget_rejected(self, kernel, batch, kwargs, parameter):
+        with pytest.raises(ValueError, match=parameter):
+            simulate_trace(
+                _trace(length=200), prefetcher=create_prefetcher("gaze"),
+                kernel=kernel, batch=batch, **kwargs,
+            )
 
 
 # --------------------------------------------------------------------------- #

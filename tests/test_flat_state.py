@@ -13,8 +13,8 @@ tiers.  These tests pin:
   exact object classes are swapped, and configurations the C kernels
   cannot represent fall back gracefully;
 * chunked streaming (:class:`repro.sim.batch.ChunkedTraceStream`) against
-  the scalar streamed path, including replayed instruction budgets and
-  warm-up boundaries with deliberately tiny chunk sizes.
+  the scalar loop over the same stream, including replayed instruction
+  budgets and warm-up boundaries with deliberately tiny chunk sizes.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ class TestCompiledTwin:
 
 
 # --------------------------------------------------------------------------- #
-# Chunked streaming against the scalar streamed path
+# Chunked streaming against the scalar loop
 # --------------------------------------------------------------------------- #
 class TestChunkedStreaming:
     @pytest.fixture()
@@ -232,7 +232,8 @@ class TestChunkedStreaming:
         return trace_formats.TraceFile(str(path))
 
     def test_chunk_sizes_are_bounded_and_complete(self, trace_file):
-        chunks = list(trace_file.decode_batched_chunks(chunk_accesses=300))
+        stream = ChunkedTraceStream(trace_file, chunk_accesses=300)
+        chunks = list(iter(stream.next_chunk, None))
         assert all(len(chunk) <= 300 for chunk in chunks)
         assert sum(len(chunk) for chunk in chunks) == 1_800
         whole = trace_file.decode_batched()

@@ -225,10 +225,11 @@ class TestReplayerMemoization:
     def test_known_total_computed_once(self):
         trace = [MemoryAccess(pc=1, address=i * 64, instr_gap=3) for i in range(10)]
         replayer = _TraceReplayer(trace)
-        assert replayer.known_instruction_total == 40
-        # Mutating the (historically immutable) source does not re-sum.
+        assert replayer.pass_instructions() == 40
+        # The list is decoded once, at construction: mutating the source
+        # afterwards changes nothing the cursor reads.
         trace.append(MemoryAccess(pc=1, address=0, instr_gap=99))
-        assert replayer.known_instruction_total == 40
+        assert replayer.pass_instructions() == 40
 
     def test_count_pass_instructions_memoized_and_matches(self):
         accesses = [MemoryAccess(pc=1, address=i * 64, instr_gap=2) for i in range(5)]
@@ -244,11 +245,13 @@ class TestReplayerMemoization:
         source = Reopenable()
         replayer = _TraceReplayer(source)
         opens_before = source.opens
-        total = replayer.count_pass_instructions()
+        total = replayer.pass_instructions()
         assert total == sum(a.instr_gap + 1 for a in accesses)
         assert source.opens == opens_before + 1
-        assert replayer.count_pass_instructions() == total
+        assert replayer.pass_instructions() == total
         assert source.opens == opens_before + 1  # memoized: no second pass
+        # A one-shot stream cannot count a pass without consuming it.
+        assert _TraceReplayer(iter(accesses)).pass_instructions() is None
 
 
 # --------------------------------------------------------------------------- #

@@ -37,6 +37,7 @@ from repro.experiments.jobs import MixSimulationJob, execute_job
 from repro.prefetchers.registry import create_prefetcher
 from repro.prefetchers.base import Prefetcher
 from repro.sim import default_system_config, simulate_mix
+from repro.sim.batch import BatchedTrace, ChunkedTraceStream
 from repro.sim.driver import driver_available
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.stats import MultiCoreStats
@@ -442,6 +443,36 @@ class TestCompiledMix:
         assert all(stats.instructions >= 2_000
                    for stats in result.per_core.values())
 
+    @pytest.mark.parametrize("kernel", ["python", "compiled"])
+    def test_mix_never_builds_access_objects(self, kernel, monkeypatch):
+        # Both schedules read each core's decoded columns; the compiled
+        # 3-core mix declines (6,144 LLC sets) and steps in Python.
+        traces = [BatchedTrace.from_accesses(t) for t in _mix_traces(3)]
+        reference = simulate_mix(_mix_traces(3), _factory("gaze"),
+                                 default_system_config(3), 2_000)
+
+        def forbidden(*_args):
+            raise AssertionError("the mix rebuilt a MemoryAccess")
+
+        monkeypatch.setattr(BatchedTrace, "__getitem__", forbidden)
+        monkeypatch.setattr(BatchedTrace, "__iter__", forbidden)
+        simulator = MultiCoreSimulator(3, _factory("gaze"),
+                                       default_system_config(3),
+                                       kernel=kernel)
+        result = simulator.run(traces, 2_000)
+        assert result.to_dict() == reference.to_dict()
+        if kernel == "compiled" and driver_available():
+            assert simulator.kernel_decline_reason == (
+                "non-power-of-two cache set count"
+            )
+
+    @pytest.mark.parametrize("kernel", ["python", "compiled"])
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_nonpositive_budget_rejected(self, kernel, budget):
+        with pytest.raises(ValueError, match="max_instructions_per_core"):
+            simulate_mix(_mix_traces(2), _factory("gaze"),
+                         default_system_config(2), budget, kernel=kernel)
+
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel mode"):
             MultiCoreSimulator(2, kernel="fast")
@@ -465,6 +496,18 @@ class TestStreamedMixes:
         from_lists = simulate_mix(materialized, factory, config, 4_000, name="m")
         from_files = simulate_mix(handles, factory, config, 4_000, name="m")
         assert from_files.to_dict() == from_lists.to_dict()
+
+    def test_small_chunks_equal_materialized(self):
+        # A streamed core steps across chunk ends and re-opens its source
+        # at each pass end; neither may change what it executes.
+        materialized = _mix_traces(2)
+        streams = [ChunkedTraceStream(trace, chunk_accesses=97)
+                   for trace in materialized]
+        factory = _factory("gaze")
+        config = default_system_config(2)
+        from_lists = simulate_mix(materialized, factory, config, 6_000, name="m")
+        from_chunks = simulate_mix(streams, factory, config, 6_000, name="m")
+        assert from_chunks.to_dict() == from_lists.to_dict()
 
 
 # --------------------------------------------------------------------------- #
