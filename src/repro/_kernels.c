@@ -1908,11 +1908,10 @@ static PyTypeObject TriangelKernelType = {
 /* ================================================================== */
 /* DriverKernel — the batched driver loop of
  * repro.sim.simulator._execute_batched in C, one per-access loop like
- * its Python twin: array-backed L1/L2/LLC state, demand_hit_run-
- * equivalent L1-hit run scans with batched LRU touches (prefetcher-less
- * runs only), the inlined demand chain with exact eviction-listener
- * semantics, the packed PQ drain, MSHR min-ready bookkeeping, DRAM
- * bank/channel timing and the simple-core clock.  The Python batched
+ * its Python twin: array-backed L1/L2/LLC state, the inlined demand
+ * chain with exact eviction-listener semantics, the packed PQ drain,
+ * MSHR min-ready bookkeeping, DRAM bank/channel timing and the
+ * simple-core clock.  The Python batched
  * driver stays the bit-exact oracle; repro.sim.driver loads a snapshot
  * of the live hierarchy, feeds whole BatchedTrace chunks per run()
  * call, drains the prefetch queue and MSHR file with flush() at the end
@@ -1920,8 +1919,8 @@ static PyTypeObject TriangelKernelType = {
  * read.
  *
  * The per-access body is one inlined drv_step shared by the single-core
- * run() loop (which adds the hit-run fast path) and run_mix(), the
- * round-robin N-core loop of MultiCoreSimulator._run_exact.  Each kernel
+ * run() loop and run_mix(), the round-robin N-core loop of
+ * MultiCoreSimulator._run_exact.  Each kernel
  * is one core: private L1/L2, MSHR, PQ, core clock, prefetcher and stat
  * deltas (its LLC and DRAM counters included).  The LLC tags/flags and
  * the DRAM bank/row/channel state sit in a reference-counted DrvShared
@@ -3021,8 +3020,8 @@ drv_load_trace(DriverKernel *d, PyObject *addresses, PyObject *pcs,
 }
 
 /* One access on the per-access path, the body shared by Driver_run and
- * the N-core run_mix (the twin of _CoreContext.step and of the
- * per-access branch of _execute_batched): the preceding gap and the
+ * the N-core run_mix (the twin of _CoreContext.step and of the loop
+ * body of _execute_batched): the preceding gap and the
  * core clock, the packed PQ drain, the inlined demand chain and the
  * prefetcher's training.  Returns the instructions retired (gap + 1).
  * A raising Python callback leaves d->cb_failed set. */
@@ -3132,8 +3131,9 @@ drv_step(DriverKernel *d, long long address, long long pc, long long block,
 }
 
 /* run(addresses, pcs, blocks, gaps, kinds, index, budget, replays)
- * -> (index, replays, executed, yielded).  budget < 0 == unbounded
- * (one full pass of the trace). */
+ * -> (index, replays).  budget < 0 == unbounded (one full pass of the
+ * trace).  One loop, the twin of _execute_batched: every access takes
+ * drv_step in program order. */
 static PyObject *
 Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -3149,85 +3149,25 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
     if (drv_load_trace(d, args[0], args[1], args[2], args[3], args[4]) < 0)
         return NULL;
     Py_ssize_t length = d->tr_len;
-    long long executed = 0;
-    int yielded = 0;
-    int unbounded = budget < 0;
     if (length <= 0)
-        return Py_BuildValue("(nLLi)", index, replays, executed, 0);
+        return Py_BuildValue("(nL)", index, replays);
     if (index < 0 || index >= length) {
         PyErr_SetString(PyExc_ValueError, "trace index out of range");
         return NULL;
     }
-    const long long *tr_addr = d->tr_addr;
-    const long long *tr_pc = d->tr_pc;
-    const long long *tr_block = d->tr_block;
-    const long long *tr_gap = d->tr_gap;
-    const unsigned char *tr_kind = d->tr_kind;
-    long long lat_l1 = d->lat_l1;
-
-    /* One loop, the twin of _execute_batched: without a prefetcher and
-     * with the MSHR file and PQ empty, a resident block starts an L1-hit
-     * run retired whole; every other access takes drv_step in program
-     * order. */
-    int hit_runs = d->ptype == DRV_PF_NONE;
+    long long executed = 0;
+    int unbounded = budget < 0;
     while (unbounded || executed < budget) {
         if (unbounded && replays > 0)
             break;
-        if (hit_runs && !d->mshr_n && !d->pq_n
-            && dc_contains(&d->l1, tr_block[index])) {
-            /* Cache.demand_hit_run + CoreTimingModel.advance_hit_run:
-             * retire the pure-hit run starting here (it ends before the
-             * first miss or block with prefetch provenance to account,
-             * so it may be empty). */
-            long long remaining = unbounded ? -1 : budget - executed;
-            long long run = 0, instructions = 0;
-            Py_ssize_t i = index;
-            while (i < length) {
-                if (remaining >= 0 && instructions >= remaining)
-                    break;
-                long long b = tr_block[i];
-                DCRow rr = dc_row(&d->l1, b);
-                int p = dcrow_find(&rr, b);
-                if (p < 0)
-                    break;
-                unsigned char f = rr.flg[p];
-                if ((f & CB_PREFETCHED) && !(f & CB_COUNTED))
-                    break;
-                dcrow_touch(&rr, p);
-                if (tr_kind[i] == 1)
-                    rr.flg[rr.n - 1] |= CB_DIRTY;
-                instructions += tr_gap[i] + 1;
-                run++;
-                i++;
-            }
-            if (run) {
-                for (Py_ssize_t ri = index; ri < index + run; ri++) {
-                    drv_begin(d, tr_gap[ri]);
-                    drv_complete(d, lat_l1);
-                }
-                d->n1.hits += run;
-                d->st_demand += run;
-                d->st_l1_hits += run;
-                d->st_latency += run * lat_l1;
-                executed += instructions;
-                index += run;
-                yielded = 1;
-                if (index >= length) {
-                    index = 0;
-                    replays++;
-                }
-                continue;
-            }
-        }
         Py_ssize_t i = index;
         index++;
         if (index >= length) {
             index = 0;
             replays++;
         }
-        yielded = 1;
-        executed += drv_step(d, tr_addr[i], tr_pc[i], tr_block[i],
-                             tr_gap[i], tr_kind[i]);
+        executed += drv_step(d, d->tr_addr[i], d->tr_pc[i], d->tr_block[i],
+                             d->tr_gap[i], d->tr_kind[i]);
         if (d->cb_failed)
             break;
     }
@@ -3237,7 +3177,7 @@ Driver_run(DriverKernel *d, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     DRV_CHECK(d);
-    return Py_BuildValue("(nLLi)", index, replays, executed, yielded);
+    return Py_BuildValue("(nL)", index, replays);
 }
 
 /* One core's round-robin cursor in run_mix. */
@@ -3260,8 +3200,7 @@ static PyTypeObject DriverKernelType;
  * instructions reach its budget, with stop = that core, so Python can
  * close its measurement and resume from stop + 1; stop = -1 once no
  * core measures at a round start.  The returned cursors are
- * (index, replays, executed) per core.  No hit runs: every access takes
- * drv_step. */
+ * (index, replays, executed) per core. */
 static PyObject *
 drv_run_mix(PyObject *Py_UNUSED(module), PyObject *const *args,
             Py_ssize_t nargs)
@@ -4083,7 +4022,7 @@ Driver_drain_stats(DriverKernel *d, PyObject *Py_UNUSED(ignored))
 static PyMethodDef Driver_methods[] = {
     {"run", (PyCFunction)(void (*)(void))Driver_run, METH_FASTCALL,
      "run(addresses, pcs, blocks, gaps, kinds, index, budget, replays)\n"
-     "-> (index, replays, executed, yielded); budget < 0 = one pass."},
+     "-> (index, replays); budget < 0 = one pass."},
     {"load_cache", (PyCFunction)Driver_load_cache, METH_VARARGS,
      "load_cache(level, [(block, flags), ...]) in per-set LRU->MRU order."},
     {"export_cache", (PyCFunction)Driver_export_cache, METH_VARARGS,
@@ -4184,7 +4123,7 @@ PyInit__kernels(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "KERNELS_ABI", 6) < 0) {
+    if (PyModule_AddIntConstant(m, "KERNELS_ABI", 7) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -18,6 +18,8 @@ source, AST on the Python source) and fails on any mismatch:
   guards vs the fallback gates in ``compiled.py``
 - keyword-argument lists: each C ``kwlist`` vs the keyword names used at
   the Python construction sites (``compiled.py`` / ``sim/driver.py``)
+- the extension ABI: the module's ``KERNELS_ABI`` constant in C vs the
+  ``KERNELS_ABI`` a build must report to be used (``compiled.py``)
 
 A missing anchor (file, pattern or call site) is itself a diagnostic:
 if a refactor moves one of these constants, the rule must be told, not
@@ -381,6 +383,23 @@ def check(context: LintContext) -> List[Diagnostic]:
                                 f"{sorted(gate_values)}",
                             )
                         )
+
+        c_abi = re.search(r'"KERNELS_ABI", (\d+)\)', c_text)
+        py_abi = _module_int_constants(compiled_tree, "KERNELS_ABI").get(
+            "KERNELS_ABI"
+        )
+        if c_abi is None:
+            diagnostics.append(_anchor_failure(_KERNELS_C, "the KERNELS_ABI constant"))
+        elif py_abi is None:
+            diagnostics.append(_anchor_failure(_COMPILED_PY, "KERNELS_ABI"))
+        elif int(c_abi.group(1)) != py_abi[0]:
+            diagnostics.append(
+                Diagnostic(
+                    "R2", _KERNELS_C, _line_of(c_text, c_abi.start()),
+                    f"twin drift: C KERNELS_ABI = {c_abi.group(1)} but "
+                    f"{_COMPILED_PY} has KERNELS_ABI = {py_abi[0]}",
+                )
+            )
 
     # --- kwlists vs Python construction sites -------------------------- #
     for init_marker, class_name in _KERNEL_INITS:

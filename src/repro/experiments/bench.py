@@ -99,8 +99,8 @@ BENCH_TRACES: Tuple[Tuple[str, int], ...] = (
 )
 BENCH_PREFETCHERS: Tuple[str, ...] = ("none", "gaze", "pmp", "vberti")
 
-#: The temporal-reuse kernel lane: a recurring pointer-chase trace (dense
-#: L1-hit runs after warmup plus a recurring miss sequence) measured raw
+#: The temporal-reuse kernel lane: a recurring pointer-chase trace (mostly
+#: L1 hits after warmup plus a recurring miss sequence) measured raw
 #: and under both temporal designs and one spatial design.  Added with the
 #: temporal tier; keys are new, so snapshots stay comparable case-by-case
 #: with pre-temporal baselines over the shared keys.
@@ -205,8 +205,8 @@ def _case_key(generator: str, seed: int, prefetcher: str, length: int) -> str:
 BENCH_KINDS = ("kernel", "mix", "stream")
 
 #: Prefetchers with a full compiled path (``none`` = the C driver loop
-#: retiring L1-hit runs; the four designs = the same loop + in-process C
-#: train kernels).  Kernel cases over these make up the ``compiled_tier``
+#: alone; the four designs = the same loop + in-process C train
+#: kernels).  Kernel cases over these make up the ``compiled_tier``
 #: snapshot section.
 COMPILED_TIER_PREFETCHERS = ("none", "gaze", "pmp", "vberti", "triangel")
 
@@ -245,9 +245,9 @@ def bench_cases(
         )
         cases.append(BenchCase("kernel", "spatial", 11, "none", batch="off"))
         cases.append(BenchCase("kernel", "spatial", 11, "gaze", batch="off"))
-        # Temporal scalar reference: the recurring trace drives the
-        # demand-hit-run fast path, so its batched-vs-scalar delta is the
-        # one worth pinning in every snapshot.
+        # Temporal scalar reference: the recurring trace is hit-dense, so
+        # its batched-vs-scalar delta covers the L1-hit path in every
+        # snapshot.
         cases.append(
             BenchCase("kernel", *TEMPORAL_BENCH_TRACE, "none", batch="off")
         )

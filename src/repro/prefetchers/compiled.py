@@ -23,7 +23,7 @@ fall back gracefully to the object prefetcher.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.core.gaze import GazePrefetcher
 from repro.prefetchers.berti import BertiPrefetcher
@@ -31,15 +31,39 @@ from repro.prefetchers.pmp import PMPPrefetcher
 from repro.prefetchers.temporal import TriangelPrefetcher
 from repro.sim.types import BLOCK_SIZE
 
+#: The ``KERNELS_ABI`` of the ``_kernels.c`` in this tree; a build that
+#: reports another value predates it and is declined (lint R2 mirrors it).
+KERNELS_ABI = 7
+
+# The one import of the extension: ``repro.sim.driver`` reads it from here.
 try:  # pragma: no cover - exercised only when the extension is built
     from repro import _kernels
 except ImportError:  # plain source checkouts: object prefetchers only
     _kernels = None
 
 
+def kernels_decline_reason() -> Optional[str]:
+    """Why :mod:`repro._kernels` cannot be used, or ``None`` when it can."""
+    if _kernels is None:
+        return "repro._kernels extension not built"
+    abi = getattr(_kernels, "KERNELS_ABI", None)
+    if abi != KERNELS_ABI:
+        return (
+            f"repro._kernels is a stale build (ABI {abi}, "
+            f"expected {KERNELS_ABI})"
+        )
+    return None
+
+
 def compiled_available() -> bool:
-    """Whether the :mod:`repro._kernels` extension is importable."""
-    return _kernels is not None
+    """Whether :mod:`repro._kernels` is importable and built from this tree."""
+    return kernels_decline_reason() is None
+
+
+def _require_kernels() -> None:
+    reason = kernels_decline_reason()
+    if reason is not None:
+        raise RuntimeError(reason)
 
 
 class CompiledBertiPrefetcher(BertiPrefetcher):
@@ -52,8 +76,7 @@ class CompiledBertiPrefetcher(BertiPrefetcher):
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        if _kernels is None:
-            raise RuntimeError("repro._kernels extension is not built")
+        _require_kernels()
         # Per-``rounds`` occurrence thresholds: the smallest occurrence
         # count whose clamped confidence ``min(occ/rounds, 1.0)`` passes
         # each threshold, found with the exact float comparisons the object
@@ -118,8 +141,7 @@ class CompiledGazePrefetcher(GazePrefetcher):
 
     def __init__(self, config=None) -> None:
         super().__init__(config)
-        if _kernels is None:
-            raise RuntimeError("repro._kernels extension is not built")
+        _require_kernels()
         cfg = self.config
         if cfg.blocks_per_region > 64 or cfg.region_size % BLOCK_SIZE:
             raise ValueError(
@@ -181,8 +203,7 @@ class CompiledPMPPrefetcher(PMPPrefetcher):
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        if _kernels is None:
-            raise RuntimeError("repro._kernels extension is not built")
+        _require_kernels()
         if self.blocks > 64:
             raise ValueError(
                 "CompiledPMPPrefetcher requires blocks_per_region <= 64"
@@ -220,8 +241,7 @@ class CompiledTriangelPrefetcher(TriangelPrefetcher):
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        if _kernels is None:
-            raise RuntimeError("repro._kernels extension is not built")
+        _require_kernels()
         self._kernel = _kernels.TriangelKernel(
             training_entries=self.training.capacity,
             sample_entries=self.samples.capacity,
@@ -258,7 +278,7 @@ def compiled_twin(prefetcher):
     for instance) overrides behaviour the C kernel does not replicate, so
     it keeps running as itself.
     """
-    if _kernels is None:
+    if not compiled_available():
         return None
     kind = type(prefetcher)
     if kind in (

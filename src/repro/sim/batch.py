@@ -4,10 +4,9 @@ Every simulator loop — the scalar reference loop, the batched Python loop,
 the C driver and the multi-core step — reads a :class:`BatchedTrace`: a
 trace *decoded once* into parallel arrays (addresses, PCs, instruction
 gaps, access kinds, plus cache-block numbers precomputed with the existing
-mask-based geometry), so the hot loops read plain integers by index and
-the chunked L1-hit fast path (:meth:`repro.sim.cache.Cache.demand_hit_run`)
-can scan whole runs of consecutive accesses without touching a single
-access object.  Streamed sources arrive as a :class:`ChunkedTraceStream`
+mask-based geometry), so the hot loops read plain integers by index
+without touching a single access object.  Streamed sources arrive as a
+:class:`ChunkedTraceStream`
 of bounded-size :class:`BatchedTrace` chunks.
 
 Layout notes:
@@ -18,9 +17,9 @@ Layout notes:
   the decoded ints are shared with nothing else so the memory difference is
   one pointer per field per access.  ``kinds`` is a ``bytearray`` (0 = load,
   1 = store, 2 = other), the cheapest indexable byte sequence.
-* ``blocks[i] == addresses[i] >> BLOCK_SHIFT`` is precomputed because both
-  the run-length residency probe and the inlined L1-hit path key their set
-  lookups on block numbers.
+* ``blocks[i] == addresses[i] >> BLOCK_SHIFT`` is precomputed because the
+  inlined demand chain of the batched loop and of the C driver keys its
+  set lookups on block numbers.
 * ``instruction_total`` (memory plus non-memory instructions) is computed
   at decode time, so a run never pays a counting pass over a materialized
   trace.

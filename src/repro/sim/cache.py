@@ -153,63 +153,6 @@ class Cache:
             entry.prefetch_useful = True
         return entry
 
-    def demand_hit_run(
-        self,
-        blocks,
-        kinds,
-        gaps,
-        start: int,
-        stop: int,
-        instruction_limit: Optional[int],
-    ) -> Tuple[int, int]:
-        """Run-length residency probe with batched LRU touches.
-
-        Scans ``blocks[start:stop]`` (parallel to the ``kinds``/``gaps``
-        arrays of a :class:`~repro.sim.batch.BatchedTrace`) for the longest
-        prefix of *plain* demand hits and retires their cache-side effects
-        in one pass: every hit block is LRU-touched (dict re-insertion,
-        exactly what :meth:`probe` does), stores merge their dirty bit, and
-        the aggregate hit counter is bumped once by the run length.
-
-        The run ends — *without* touching the terminating access — at:
-
-        * the first non-resident block (the scalar kernel will count the
-          miss via :meth:`probe`, so the failed residency check here is
-          deliberately side-effect free);
-        * the first resident block with un-counted prefetch provenance
-          (``prefetched and not useful_counted``): serving it updates
-          prefetch statistics, which stays the scalar kernel's job;
-        * ``instruction_limit`` (``None`` = unlimited): an access is
-          included only while the instructions executed so far in this run
-          are below the limit, mirroring the scalar kernel's budget check.
-
-        Returns ``(count, instructions)``: how many accesses were retired
-        and how many instructions (memory + gap) they carried.  Requires a
-        power-of-two set count (callers gate on it).
-        """
-        sets = self._sets
-        mask = self._set_mask
-        count = 0
-        instructions = 0
-        index = start
-        while index < stop:
-            if instruction_limit is not None and instructions >= instruction_limit:
-                break
-            block = blocks[index]
-            cache_set = sets[block & mask]
-            entry = cache_set.get(block)
-            if entry is None or (entry.prefetched and not entry.useful_counted):
-                break
-            del cache_set[block]
-            cache_set[block] = entry
-            if kinds[index] == 1:
-                entry.dirty = True
-            instructions += gaps[index] + 1
-            count += 1
-            index += 1
-        self.hits += count
-        return count, instructions
-
     def access(self, block: int) -> Tuple[bool, Optional[CacheBlock]]:
         """Perform a demand access for ``block``.
 

@@ -26,8 +26,6 @@ from typing import Deque, List, Tuple
 
 from repro.sim.config import CoreConfig
 
-_INF = float("inf")
-
 
 @dataclass(slots=True)
 class CoreSnapshot:
@@ -73,6 +71,9 @@ class CoreTimingModel:
         # Completion cycles of outstanding *misses* (long-latency loads);
         # bounded by the MSHR count to model the core's MLP limit.
         self._outstanding_misses: List[float] = []
+        # Position and cycle of the access begin_memory_access reserved last.
+        self._issue_position = 0
+        self._issue_cycle = 0.0
         # Hot-path constants (read once per simulated access).  The fetch
         # increment is the same float the historical per-call division
         # produced, so cycle counts stay bit-identical.
@@ -171,113 +172,6 @@ class CoreTimingModel:
         # Keep the fetch clock from falling behind an already-stalled window.
         if self._issue_cycle > self._fetch_cycle:
             self._fetch_cycle = self._issue_cycle
-
-    def advance_hit_run(self, gaps, start: int, count: int, latency: int) -> None:
-        """Aggregate timing advance over a run of same-latency accesses.
-
-        Equivalent to calling ``advance_non_memory(gaps[i])`` /
-        :meth:`begin_memory_access` / :meth:`complete_memory_access`
-        (``latency``) for each of the ``count`` accesses beginning at
-        ``gaps[start]`` — the batched kernel's L1-hit runs — but in one
-        tight loop with every constant and container bound to a local.
-
-        The batched driver
-        (:meth:`repro.sim.simulator.SingleCoreSimulator._execute_batched`)
-        calls this for every L1-hit run it retires, writing its local core
-        state back to the model before the call and reloading it after;
-        the C driver's run retirement is pinned to it by the
-        batched-vs-scalar golden/equivalence suite.
-
-        Bit-identicality contract: the float additions happen in the same
-        order with the same operands as the scalar calls (``gap / width``
-        then ``+= fetch_increment`` per access), and the ROB / load-queue /
-        outstanding-miss constraints run the identical logic, so the model
-        state after a run is indistinguishable from the scalar kernel's.
-        The constraint checks stay inside the loop because a run can begin
-        with long-latency completions still outstanding.
-        """
-        if count <= 0:
-            return
-        width = self._width
-        inc = self._fetch_increment
-        rob = self._rob_size
-        lq = self._load_queue_size
-        miss_limit = self._miss_limit
-        records_miss = latency > self._miss_threshold
-        completion_delta = latency if latency > 1 else 1
-        instr = self._instr_count
-        fetch = self._fetch_cycle
-        last_retire = self._last_retire_cycle
-        outstanding = self._outstanding
-        popleft = outstanding.popleft
-        append = outstanding.append
-        misses = self._outstanding_misses
-        # Cached minimum of ``misses`` (infinity when empty), kept exact on
-        # every change, so no per-access ``min()`` scan is needed.
-        misses_min = min(misses) if misses else _INF
-        issue = fetch
-        for index in range(start, start + count):
-            gap = gaps[index]
-            if gap > 0:
-                instr += gap
-                fetch += gap / width
-            instr += 1
-            fetch += inc
-            issue = fetch
-
-            while outstanding and instr - outstanding[0][0] >= rob:
-                head = outstanding[0][1]
-                if head > issue:
-                    issue = head
-                completion = popleft()[1]
-                if completion > last_retire:
-                    last_retire = completion
-                if issue > last_retire:
-                    last_retire = issue
-
-            while len(outstanding) >= lq:
-                head = outstanding[0][1]
-                if head > issue:
-                    issue = head
-                completion = popleft()[1]
-                if completion > last_retire:
-                    last_retire = completion
-                if issue > last_retire:
-                    last_retire = issue
-
-            if len(misses) >= miss_limit:
-                misses.sort()
-                while len(misses) >= miss_limit:
-                    completed = misses.pop(0)
-                    if completed > issue:
-                        issue = completed
-                misses_min = misses[0] if misses else _INF
-            if misses_min <= issue:
-                misses = [c for c in misses if c > issue]
-                misses_min = min(misses) if misses else _INF
-
-            while outstanding and outstanding[0][1] <= issue:
-                completion = popleft()[1]
-                if completion > last_retire:
-                    last_retire = completion
-                if issue > last_retire:
-                    last_retire = issue
-
-            completion = issue + completion_delta
-            append((instr, completion))
-            if records_miss:
-                misses.append(completion)
-                if completion < misses_min:
-                    misses_min = completion
-            if issue > fetch:
-                fetch = issue
-
-        self._outstanding_misses = misses
-        self._instr_count = instr
-        self._fetch_cycle = fetch
-        self._last_retire_cycle = last_retire
-        self._issue_position = instr
-        self._issue_cycle = issue
 
     # ------------------------------------------------------------------ #
     # Results

@@ -1,8 +1,8 @@
 """Compiled batched driver: glue between the simulator and ``DriverKernel``.
 
 When the optional C extension :mod:`repro._kernels` is built, the whole
-batched driver loop — cache probes, hit-run retirement, MSHR/DRAM/core
-timing, prefetch-queue drain and prefetcher training — can run inside the
+batched driver loop — cache probes, MSHR/DRAM/core timing,
+prefetch-queue drain and prefetcher training — can run inside the
 extension's ``DriverKernel`` instead of
 :meth:`~repro.sim.simulator.SingleCoreSimulator._execute_batched`, and a
 multi-core mix's whole round-robin schedule can run there instead of
@@ -22,7 +22,7 @@ the caller falls back to the Python driver.  Every prefetcher runs in C:
 =====================  ==============================================
 prefetcher             C driver path
 =====================  ==============================================
-``None``               per-access loop retiring L1-hit runs whole
+``None``               per-access loop
 vBerti (compiled)      per-access loop + ``BertiKernel`` train
 Gaze (compiled)        per-access loop + ``GazeKernel`` train/evict
 PMP (compiled)         per-access loop + ``PMPKernel`` train/evict
@@ -33,15 +33,16 @@ any other object       per-access loop + one Python ``train`` call per
                        eviction (only when the hook overrides the
                        base-class no-op)
 N-core mix             round-robin ``run_mix`` loop, one kernel per
-                       core with any of the prefetchers above, no hit
-                       runs, one LLC/DRAM state shared by all cores
+                       core with any of the prefetchers above, one
+                       LLC/DRAM state shared by all cores
 =====================  ==============================================
 
-What is left to decline is geometry and run shape: ``batch="off"``,
-non-plain cache or DRAM objects, non-power-of-two set counts, extra
-eviction listeners, or a hierarchy with prefetches in flight.  Every
-trace source reaches the driver as decoded columns, one-shot iterators
-included.
+What is left to decline is an extension built from an older
+``_kernels.c`` (its ``KERNELS_ABI`` differs), geometry and run shape:
+``batch="off"``, non-plain cache or DRAM objects, non-power-of-two set
+counts, extra eviction listeners, or a hierarchy with prefetches in
+flight.  Every trace source reaches the driver as decoded columns,
+one-shot iterators included.
 
 **The Python callback protocol.**  ``train(pc, address, cycle, result)``
 receives one of five ``AccessResult`` objects the kernel reuses for every
@@ -87,15 +88,11 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.prefetchers.compiled import _kernels, kernels_decline_reason
 from repro.sim.cache import Cache, CacheBlock, MSHREntry
 from repro.sim.dram import DRAMModel
 from repro.sim.simulator import batched_decline_reason
 from repro.sim.types import AccessResult
-
-try:  # pragma: no cover - exercised only when the extension is built
-    from repro import _kernels
-except ImportError:  # plain source checkouts: Python driver only
-    _kernels = None
 
 #: ``ptype`` codes understood by ``DriverKernel`` (must match _kernels.c).
 PF_NONE = 0
@@ -114,7 +111,12 @@ _F_COUNTED = 16
 
 
 def driver_available() -> bool:
-    """Whether the extension exposes the batched ``DriverKernel``."""
+    """Whether the loaded extension exposes the batched ``DriverKernel``.
+
+    :meth:`CompiledDriver.try_attach` also declines a build whose
+    ``KERNELS_ABI`` differs from this tree's
+    (:func:`~repro.prefetchers.compiled.kernels_decline_reason`).
+    """
     return _kernels is not None and hasattr(_kernels, "DriverKernel")
 
 
@@ -209,8 +211,9 @@ class CompiledDriver:
         mismatch falls back to the Python driver, which handles every
         configuration.
         """
-        if not driver_available():
-            return None, "repro._kernels extension (DriverKernel) not built"
+        reason = kernels_decline_reason()
+        if reason is not None:
+            return None, reason
         hierarchy = sim.hierarchy
         reason = batched_decline_reason(hierarchy)
         if reason is not None:
@@ -288,15 +291,11 @@ class CompiledDriver:
         )
         kernel.load_cache(1, _cache_items(l1d))
         kernel.load_cache(2, _cache_items(l2c))
-        try:
-            issue = core._issue_cycle
-        except AttributeError:
-            issue = core._fetch_cycle
         kernel.load_core(
             core._instr_count,
             core._fetch_cycle,
             core._last_retire_cycle,
-            issue,
+            core._issue_cycle,
             list(core._outstanding),
             list(core._outstanding_misses),
         )
@@ -326,7 +325,7 @@ class CompiledDriver:
         """
         trace = replayer._batched
         budget = -1 if instruction_budget is None else instruction_budget
-        index, replays, _executed, _yielded = self._kernel.run(
+        index, replays = self._kernel.run(
             trace.addresses,
             trace.pcs,
             trace.blocks,

@@ -50,19 +50,6 @@ class PrefetchQueue:
         return len(self._queue) >= self.capacity
 
     @property
-    def quiescent(self) -> bool:
-        """True when no request is queued — nothing can issue this access.
-
-        This is the public spelling of half the condition under which the
-        batched kernel retires a whole L1-hit run (a queued request would
-        have to issue mid-run; the MSHR file must be empty too).  The
-        kernels themselves bind :attr:`pending` once and test the deque's
-        truthiness per access — same condition, no property call on the
-        hot path.
-        """
-        return not self._queue
-
-    @property
     def pending(self) -> Deque[int]:
         """The underlying FIFO, exposed for hot-path truthiness checks.
 

@@ -20,15 +20,11 @@ the hierarchy's methods access by access and is the reference.
 
 The **batched** inner loop
 (:meth:`SingleCoreSimulator._execute_batched`) runs the same accesses
-with the demand chain and the core timing inlined against locals.  Without
-a prefetcher, a quiescent hierarchy (MSHR file and prefetch queue empty)
-lets the loop retire whole runs of consecutive pure L1 hits at once
-(:meth:`~repro.sim.cache.Cache.demand_hit_run` plus
-:meth:`~repro.sim.cpu.CoreTimingModel.advance_hit_run`); with one, every
-demand access takes the per-access path, because ``train`` must observe
-every access in order.  The C driver (:mod:`repro.sim.driver`) runs the
-same loop in the optional extension.  Every kernel produces bit-identical
-statistics — the golden-stats suite pins this.
+with the demand chain and the core timing inlined against locals, one
+access at a time, with or without a prefetcher.  The C driver
+(:mod:`repro.sim.driver`) runs the same loop in the optional extension.
+Every kernel produces bit-identical statistics — the golden-stats suite
+pins this.
 """
 
 from __future__ import annotations
@@ -497,32 +493,19 @@ class SingleCoreSimulator:
         this).  :meth:`run` routes here only hierarchies
         :func:`batched_decline_reason` accepts.
 
-        Each iteration does one of two things:
-
-        * **Retire an L1-hit run.**  With no prefetcher attached and the
-          hierarchy quiescent (MSHR file and prefetch queue empty), an
-          access whose block is resident in the L1D starts a run: the
-          longest run of plain L1 hits within budget is retired wholesale —
-          :meth:`Cache.demand_hit_run` for residency and batched LRU
-          touches, :meth:`CoreTimingModel.advance_hit_run` for the timing,
-          per-run arithmetic for the statistics.  A prefetcher must
-          ``train`` on every demand load in order, so it never gets runs.
-        * **Execute one access.**  A miss, a hit on a block with prefetch
-          provenance to account, or any access with a prefetcher: the
-          queued prefetches drain, the ``demand_access`` chain runs inlined
-          as set-dict operations (victim recycling as in
-          :meth:`Cache.fill_absent`, eviction listeners invoked exactly as
-          ``Cache.fill`` would, DRAM through
-          :meth:`~repro.sim.dram.DRAMModel.access`), and
-          ``train`` receives one of the per-level preallocated mutable
-          :class:`AccessResult` objects (no prefetcher retains the result
-          beyond the call).
+        Each iteration executes one access: the queued prefetches drain,
+        the ``demand_access`` chain runs inlined as set-dict operations
+        (victim recycling as in :meth:`Cache.fill_absent`, eviction
+        listeners invoked exactly as ``Cache.fill`` would, DRAM through
+        :meth:`~repro.sim.dram.DRAMModel.access`), and ``train`` (when a
+        prefetcher is attached) receives one of the per-level
+        preallocated mutable :class:`AccessResult` objects (no prefetcher
+        retains the result beyond the call).
 
         The core timing model's scalar state lives in local variables for
         the duration of the call — the inlined begin/complete logic
         performs the identical float operations in the identical order —
-        and is written back around each ``advance_hit_run`` call and at
-        exit.
+        and is written back at exit.
 
         When the compiled driver is attached (``kernel="compiled"`` and
         :meth:`_attach_driver` accepted the configuration), the same loop
@@ -550,8 +533,6 @@ class SingleCoreSimulator:
         l1d = hierarchy.l1d
         l2c = hierarchy.l2c
         llc = hierarchy.llc
-        demand_hit_run = l1d.demand_hit_run
-        advance_hit_run = core.advance_hit_run
         l1_sets = l1d._sets
         l1_mask = l1d._set_mask
         l1_ways = l1d._ways
@@ -577,7 +558,6 @@ class SingleCoreSimulator:
         lat_llc = hierarchy._lat_llc
         dram_access = hierarchy.dram.access
         train = prefetcher.train if prefetcher is not None else None
-        hit_runs = train is None
 
         # Core timing state, held in locals for the whole call (see the
         # docstring); the inlined arithmetic replicates begin_memory_access
@@ -599,10 +579,7 @@ class SingleCoreSimulator:
         # every append/filter, so no per-access ``min()`` scan is needed.
         INF = float("inf")
         misses_min = min(misses_list) if misses_list else INF
-        try:
-            issue = core._issue_cycle
-        except AttributeError:
-            issue = fetch
+        issue = core._issue_cycle
 
         index = replayer._index
 
@@ -622,44 +599,6 @@ class SingleCoreSimulator:
             if unbounded and replayer.replays > 0:
                 break
             block = blocks[index]
-            if (
-                hit_runs
-                and not mshr_entries
-                and not pending_prefetches
-                and block in l1_sets[block & l1_mask]
-            ):
-                # Retire the whole pure-hit run (it ends before the first
-                # miss or block with prefetch provenance to account, so it
-                # may be empty).
-                run, instructions = demand_hit_run(
-                    blocks,
-                    kinds,
-                    gaps,
-                    index,
-                    length,
-                    None if unbounded else instruction_budget - executed,
-                )
-                if run:
-                    core._instr_count = instr
-                    core._fetch_cycle = fetch
-                    core._last_retire_cycle = last_retire
-                    core._outstanding_misses = misses_list
-                    advance_hit_run(gaps, index, run, l1_latency)
-                    instr = core._instr_count
-                    fetch = core._fetch_cycle
-                    last_retire = core._last_retire_cycle
-                    misses_list = core._outstanding_misses
-                    misses_min = min(misses_list) if misses_list else INF
-                    issue = core._issue_cycle
-                    stats.demand_accesses += run
-                    stats.l1_hits += run
-                    stats.total_demand_latency += run * l1_latency
-                    executed += instructions
-                    index += run
-                    if index >= length:
-                        index = 0
-                        replayer.replays += 1
-                    continue
             gap = gaps[index]
             kind = kinds[index]
             address = addresses[index]

@@ -3,12 +3,10 @@
 The original bench/test traces are dominated by streaming and spatial
 footprints over *freshly allocated* regions: almost no block is touched
 twice while it is still resident in the L1, so neither the temporal
-prefetchers nor the batched kernel's L1-hit-run fast path
-(:meth:`repro.sim.cache.Cache.demand_hit_run`) sees realistic input.
-These generators produce the opposite regime — recurring address
-*sequences* (the address-pair correlations temporal prefetchers replay)
-and short reuse distances (the dense L1-hit runs the chunked kernel
-retires in bulk):
+prefetchers nor the simulator's L1-hit path sees realistic input.  These
+generators produce the opposite regime — recurring address *sequences*
+(the address-pair correlations temporal prefetchers replay) and short
+reuse distances (dense runs of consecutive L1 hits):
 
 * :class:`TemporalPointerChaseWorkload` — pointer chasing over a fixed
   linked cycle that is re-traversed pass after pass, so the same miss

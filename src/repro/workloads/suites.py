@@ -149,7 +149,7 @@ QMM_TRACES: List[TraceSpec] = [
 # --------------------------------------------------------------------------- #
 # Temporal-reuse workloads (not in the paper's Table III): the recurring
 # address sequences temporal prefetchers replay, used by the
-# spatial-vs-temporal comparison (fig19) and the hit-run regression suite.
+# spatial-vs-temporal comparison (fig19) and the hit-dense kernel tests.
 # --------------------------------------------------------------------------- #
 TEMPORAL_TRACES: List[TraceSpec] = [
     _spec("linkwalk-like", "temporal", "temporal-pointer", 801),

@@ -2,9 +2,9 @@
 
 The batched kernel (:mod:`repro.sim.batch` + the chunked driver in
 :mod:`repro.sim.simulator`) must be *bit-identical* to the scalar kernel for
-every statistic.  These tests pin the boundary conditions the chunked fast
-path has to get right — forced fallback mid-chunk, an MSHR fill becoming
-ready inside a would-be run, budget exhaustion inside a run, warm-up
+every statistic.  These tests pin the boundary conditions the chunked loop
+has to get right — runs of hits broken by misses, an MSHR fill becoming
+ready inside a run of hits, budget exhaustion inside a run, warm-up
 boundaries landing mid-run — plus streamed-vs-materialized-vs-batched
 equality over every registered prefetcher.
 """
@@ -16,7 +16,7 @@ import pytest
 from repro.prefetchers import available_prefetchers, create_prefetcher
 from repro.prefetchers.base import Prefetcher
 from repro.sim.batch import BatchedTrace
-from repro.sim.cache import Cache, MSHRFile
+from repro.sim.cache import MSHRFile
 from repro.sim.config import CacheConfig, default_system_config
 from repro.sim.simulator import (
     BATCH_MODES,
@@ -27,13 +27,6 @@ from repro.sim.simulator import (
 from repro.sim.types import AccessType, MemoryAccess, PrefetchHint, pack_prefetch
 from repro.workloads import formats as trace_formats
 from repro.workloads.trace import TraceSpec
-
-
-def _cache_config(sets, ways, latency):
-    return CacheConfig(
-        name="T", size_bytes=sets * ways * 64, ways=ways, latency=latency,
-        mshrs=4,
-    )
 
 
 def _stats_dict(stats):
@@ -56,12 +49,12 @@ def _trace(generator="spatial", seed=7, length=1_200):
 
 
 def _hit_run_trace(n_chunks=40, run_length=12):
-    """Alternating pure-L1-hit runs and forced misses (fallback mid-chunk).
+    """Alternating pure-L1-hit runs and forced misses.
 
     Each chunk re-touches one block ``run_length`` times (hits once
     resident) and then jumps to a brand-new block (a guaranteed miss that
-    breaks the run), with stores sprinkled in so the dirty-merge path of
-    the batched LRU touch is exercised.
+    breaks the run), with stores sprinkled in so the dirty bit of a hit
+    block is exercised.
     """
     accesses = []
     for chunk in range(n_chunks):
@@ -82,10 +75,9 @@ class _L1PrefetchStub(Prefetcher):
     """Deterministic stub that keeps the L1 MSHR file busy.
 
     Every trained load requests the next two blocks into the L1D, so MSHR
-    fills are constantly in flight and their ready cycles straddle the
-    boundaries of would-be hit chunks — the exact scenario where the
-    batched kernel must fall back access-by-access and complete fills at
-    the same cycles the scalar kernel does.
+    fills are constantly in flight and their ready cycles straddle runs
+    of hits — the batched kernel must complete fills at the same cycles
+    the scalar kernel does.
     """
 
     name = "l1-stub"
@@ -183,7 +175,7 @@ class TestBatchedScalarEquivalence:
         batched = simulate_trace(trace)
         _assert_identical(scalar, batched, "hit runs broken by misses")
         # The scenario really alternates: most accesses hit, each chunk
-        # ends in a miss that must fall back to the per-access path.
+        # ends in a miss.
         assert batched.l1_misses >= 40
         assert batched.l1_hits > batched.l1_misses * 5
 
@@ -361,56 +353,6 @@ class TestJobBatchKnob:
 # The batched primitives in isolation
 # --------------------------------------------------------------------------- #
 class TestBatchedPrimitives:
-    def test_demand_hit_run_respects_instruction_limit(self):
-        cache = Cache(_cache_config(sets=16, ways=4, latency=4))
-        blocks = [1, 2, 3, 4]
-        for block in blocks:
-            cache.fill(block)
-        kinds = bytearray([0, 1, 0, 0])
-        gaps = [2, 0, 1, 0]  # per-access instructions: 3, 1, 2, 1
-        count, instructions = cache.demand_hit_run(
-            blocks, kinds, gaps, 0, 4, 5
-        )
-        # Accesses are included while the executed count is < 5: the third
-        # access starts at 4 < 5 and may overshoot, the fourth must not run.
-        assert (count, instructions) == (3, 6)
-        full = Cache(_cache_config(sets=16, ways=4, latency=4))
-        for block in blocks:
-            full.fill(block)
-        assert full.demand_hit_run(blocks, kinds, gaps, 0, 4, None) == (4, 7)
-
-    def test_demand_hit_run_stops_without_counting_the_miss(self):
-        cache = Cache(_cache_config(sets=16, ways=4, latency=4))
-        cache.fill(7)
-        count, instructions = cache.demand_hit_run(
-            [7, 8], bytearray([0, 0]), [0, 0], 0, 2, None
-        )
-        assert (count, instructions) == (1, 1)
-        # The failed residency probe is side-effect free; the scalar path
-        # counts the miss when it actually serves the access.
-        assert cache.misses == 0
-        assert cache.hits == 1
-
-    def test_advance_hit_run_matches_scalar_calls(self):
-        config = default_system_config(1).core
-        from repro.sim.cpu import CoreTimingModel
-
-        gaps = [0, 3, 1, 0, 2, 0, 0, 5, 1, 0]
-        scalar = CoreTimingModel(config)
-        batched = CoreTimingModel(config)
-        # Interleave a long-latency access first so outstanding-miss state
-        # is live when the run starts.
-        for model in (scalar, batched):
-            model.begin_memory_access()
-            model.complete_memory_access(300)
-        for gap in gaps:
-            if gap > 0:
-                scalar.advance_non_memory(gap)
-            scalar.begin_memory_access()
-            scalar.complete_memory_access(4)
-        batched.advance_hit_run(gaps, 0, len(gaps), 4)
-        assert scalar.finalize() == batched.finalize()
-
     def test_mshr_expire_fast_path_returns_empty(self):
         mshr = MSHRFile(capacity=2)
         mshr.allocate(5, ready_cycle=100, is_prefetch=True)

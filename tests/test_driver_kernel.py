@@ -2,12 +2,13 @@
 
 Under ``kernel="compiled"`` the simulator hands whole batched chunks to the
 C ``DriverKernel`` (:mod:`repro.sim.driver`) for every prefetcher.  Its one
-loop retires L1-hit runs whole for the bare no-prefetcher run, trains the
-four designs with full C twins (vberti, gaze, pmp, triangel) in-process,
-and calls every other design back through its Python
-``train``/``on_cache_eviction``.  Only geometry and run shape decline to
-the Python driver; a geometry decline records its reason
-(``non-power-of-two cache set count``), not the scalar path it led to.  Both paths must be
+loop takes every access through the same per-access body, with or without
+a prefetcher: it trains the four designs with full C twins (vberti, gaze,
+pmp, triangel) in-process and calls every other design back through its
+Python ``train``/``on_cache_eviction``.  Only a stale extension build,
+geometry and run shape decline to the Python driver; a decline records
+its reason (``non-power-of-two cache set count``), not the scalar path it
+led to.  Both paths must be
 *bit-identical* for every statistic and for the complete hierarchy state
 the driver exports when it is read — caches (contents, flags and LRU
 order), MSHR file, prefetch queue, DRAM bank/row/channel timing and the
@@ -388,6 +389,24 @@ class TestTierRecording:
             batch="off",
         )
         _assert_identical(reference, stats, "odd L2 fallback")
+
+    @requires_driver
+    def test_stale_build_declines_with_reason(self, monkeypatch):
+        # An extension built from an older _kernels.c (a leftover in-place
+        # build, say) falls back instead of being called with the old
+        # signatures.
+        from repro.prefetchers import compiled
+
+        stale = compiled.KERNELS_ABI - 1
+        monkeypatch.setattr(compiled._kernels, "KERNELS_ABI", stale)
+        trace = _trace(length=600)
+        stats = _run(trace, "gaze", "compiled", record_tier=True)
+        assert stats.extra["kernel_tier"] == "python"
+        assert stats.extra["kernel_decline_reason"] == (
+            f"repro._kernels is a stale build (ABI {stale}, "
+            f"expected {compiled.KERNELS_ABI})"
+        )
+        _assert_identical(_run(trace, "gaze", "python"), stats, "stale build")
 
     def test_default_run_leaves_extra_untouched(self):
         stats = simulate_trace(_trace(length=400), kernel="compiled")

@@ -176,7 +176,7 @@ def test_golden_stats(trace_key, prefetcher_name):
 #: with ``batch="off"`` proves both kernels byte-identical on every
 #: snapshotted counter without doubling the whole grid's runtime.  The
 #: temporal designs are checked on the temporal trace, where their tables
-#: actually train and the batched path's demand-hit runs engage.
+#: actually train.
 SCALAR_CHECK_CASES = (
     ("spatial-s3", "gaze"),
     ("spatial-s3", "pmp"),

@@ -300,6 +300,19 @@ class TestR2TwinConstants:
             for d in report.diagnostics
         )
 
+    def test_seeded_kernels_abi_drift_is_caught(self, tmp_path):
+        _copy_anchors(tmp_path)
+        compiled = tmp_path / "src/repro/prefetchers/compiled.py"
+        text = compiled.read_text(encoding="utf-8")
+        assert "KERNELS_ABI = 7" in text
+        compiled.write_text(
+            text.replace("KERNELS_ABI = 7", "KERNELS_ABI = 6"), encoding="utf-8"
+        )
+        report = run_lint(root=tmp_path, rules=["R2"])
+        assert len(report.diagnostics) == 1
+        message = report.diagnostics[0].message
+        assert "twin drift" in message and "KERNELS_ABI" in message
+
     def test_missing_anchor_is_loud(self, tmp_path):
         _copy_anchors(tmp_path)
         (tmp_path / "src/repro/sim/types.py").unlink()
