@@ -50,6 +50,8 @@ HOT_MODULES = frozenset(
         "src/repro/sim/types.py",
         "src/repro/prefetchers/tables.py",
         "src/repro/prefetchers/spatial_common.py",
+        "src/repro/prefetchers/spp.py",
+        "src/repro/prefetchers/ipcp.py",
     }
 )
 

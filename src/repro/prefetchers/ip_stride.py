@@ -14,12 +14,7 @@ from typing import List, Optional
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.tables import LRUTable
-from repro.sim.types import (
-    AccessResult,
-    BLOCK_SIZE,
-    PrefetchHint,
-    block_number,
-)
+from repro.sim.types import AccessResult, BLOCK_SHIFT
 
 
 @dataclass(slots=True)
@@ -49,11 +44,15 @@ class IPStridePrefetcher(Prefetcher):
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
     ) -> List[int]:
-        block = block_number(address)
-        entry = self.table.get(pc)
+        # Works on the table's dict directly (``LRUTable.get`` inlined) and
+        # packs each request (``block << 1 | to_l1``, an L1 fill) inline.
+        block = address >> BLOCK_SHIFT
+        entries = self.table._entries
+        entry = entries.get(pc)
         if entry is None:
             self.table.put(pc, _IPEntry(last_block=block))
             return []
+        entries.move_to_end(pc)
 
         stride = block - entry.last_block
         requests: List[int] = []
@@ -65,13 +64,12 @@ class IPStridePrefetcher(Prefetcher):
                 if entry.confidence == 0:
                     entry.stride = stride
             if entry.confidence >= self.confidence_threshold and entry.stride != 0:
+                step = entry.stride
                 for i in range(1, self.degree + 1):
-                    target = block + entry.stride * i
+                    target = block + step * i
                     if target < 0:
                         break
-                    requests.append(
-                        self.request(target * BLOCK_SIZE, PrefetchHint.L1)
-                    )
+                    requests.append(target << 1 | 1)
         entry.last_block = block
         return requests
 

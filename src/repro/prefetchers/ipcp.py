@@ -17,19 +17,12 @@ This is the L1D version evaluated in the paper (IPCP-L1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.tables import LRUTable
-from repro.sim.types import (
-    AccessResult,
-    BLOCK_SIZE,
-    PrefetchHint,
-    block_number,
-    block_offset_in_region,
-    region_number,
-)
+from repro.sim.types import AccessResult, BLOCK_SHIFT
 
 
 @dataclass(slots=True)
@@ -74,24 +67,44 @@ class IPCPPrefetcher(Prefetcher):
         self.cs_degree = cs_degree
         self.gs_degree = gs_degree
         self.region_size = region_size
-        self.blocks = region_size // 64
 
     # ------------------------------------------------------------------ #
+    # The train path works on the tables' dicts directly, touching exactly
+    # the entries ``LRUTable.get``/``put`` would, and packs each request
+    # (``block << 1 | to_l1``, always an L1 fill) inline.
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
     ) -> List[int]:
-        block = block_number(address)
-        region = region_number(address, self.region_size)
-        offset = block_offset_in_region(address, self.region_size)
+        block = address >> BLOCK_SHIFT
+        region, rest = divmod(address, self.region_size)
+        offset = rest >> BLOCK_SHIFT
 
-        stream_dense = self._update_region_stream(region, offset)
+        # --- region-level dense-stream detector ---------------------------- #
+        streams = self.region_streams._entries
+        stream = streams.get(region)
+        if stream is None:
+            self.region_streams.put(
+                region, _RegionStreamEntry(touched=1, last_offset=offset)
+            )
+            stream_dense = False
+        else:
+            streams.move_to_end(region)
+            stream.touched += 1
+            last_offset = stream.last_offset
+            if last_offset >= 0 and offset == last_offset + 1:
+                stream.ascending += 1
+            elif offset != last_offset:
+                stream.ascending = max(0, stream.ascending - 1)
+            stream.last_offset = offset
+            stream_dense = stream.touched >= 4 and stream.ascending >= 3
 
         key = pc & 0xFFFF
-        entry = self.ip_table.get(key)
+        ip_entries = self.ip_table._entries
+        entry = ip_entries.get(key)
         if entry is None:
-            entry = _IPEntry(last_block=block)
-            self.ip_table.put(key, entry)
+            self.ip_table.put(key, _IPEntry(last_block=block))
             return []
+        ip_entries.move_to_end(key)
 
         stride = block - entry.last_block
         requests: List[int] = []
@@ -106,8 +119,11 @@ class IPCPPrefetcher(Prefetcher):
                     entry.last_stride = stride
 
             # --- complex-stride signature --------------------------------- #
-            cspt_entry = self.cspt.get(entry.signature)
+            cspt = self.cspt._entries
+            signature = entry.signature
+            cspt_entry = cspt.get(signature)
             if cspt_entry is not None:
+                cspt.move_to_end(signature)
                 predicted_stride, confidence = cspt_entry
                 if predicted_stride == stride:
                     cspt_entry[1] = min(3, confidence + 1)
@@ -116,48 +132,28 @@ class IPCPPrefetcher(Prefetcher):
                     if cspt_entry[1] == 0:
                         cspt_entry[0] = stride
             else:
-                self.cspt.put(entry.signature, [stride, 1])
-            entry.signature = ((entry.signature << 3) ^ (stride & 0x3F)) & 0xFFF
+                self.cspt.put(signature, [stride, 1])
+            signature = entry.signature = ((signature << 3) ^ (stride & 0x3F)) & 0xFFF
 
             # --- issue ----------------------------------------------------- #
             if stream_dense:
-                for i in range(1, self.gs_degree + 1):
-                    requests.append(
-                        self.request((block + i) * BLOCK_SIZE, PrefetchHint.L1)
-                    )
+                requests = [(block + i) << 1 | 1 for i in range(1, self.gs_degree + 1)]
             elif entry.stride_confidence >= 2 and entry.last_stride != 0:
+                last_stride = entry.last_stride
                 for i in range(1, self.cs_degree + 1):
-                    target = block + entry.last_stride * i
+                    target = block + last_stride * i
                     if target < 0:
                         break
-                    requests.append(
-                        self.request(target * BLOCK_SIZE, PrefetchHint.L1)
-                    )
+                    requests.append(target << 1 | 1)
             else:
-                cspt_entry = self.cspt.get(entry.signature, touch=False)
+                cspt_entry = cspt.get(signature)
                 if cspt_entry is not None and cspt_entry[1] >= 2:
                     target = block + cspt_entry[0]
                     if target >= 0:
-                        requests.append(
-                            self.request(target * BLOCK_SIZE, PrefetchHint.L1)
-                        )
+                        requests.append(target << 1 | 1)
 
         entry.last_block = block
         return requests
-
-    def _update_region_stream(self, region: int, offset: int) -> bool:
-        entry = self.region_streams.get(region)
-        if entry is None:
-            entry = _RegionStreamEntry(touched=1, last_offset=offset)
-            self.region_streams.put(region, entry)
-            return False
-        entry.touched += 1
-        if entry.last_offset >= 0 and offset == entry.last_offset + 1:
-            entry.ascending += 1
-        elif offset != entry.last_offset:
-            entry.ascending = max(0, entry.ascending - 1)
-        entry.last_offset = offset
-        return entry.touched >= 4 and entry.ascending >= 3
 
     def storage_bits(self) -> int:
         ip_table = self.ip_table.capacity * (16 + 7 + 2 + 12 + 1 + 8)

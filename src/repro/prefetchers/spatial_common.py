@@ -25,19 +25,16 @@ the owning prefetcher:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.prefetchers.tables import LRUTable
 from repro.sim.types import (
+    BLOCK_SHIFT,
     BLOCK_SIZE,
     PrefetchHint,
     RegionGeometry,
-    address_from_region_offset,
-    block_offset_in_region,
     blocks_per_region,
-    pack_prefetch,
-    region_number,
 )
 
 
@@ -109,15 +106,6 @@ class AccumulationEntry:
             self.last_offset = offset
         self.access_count += 1
 
-    def last_two_strides(self, new_offset: int) -> Optional[Tuple[int, int]]:
-        """Strides formed by (penultimate, last, new) offsets, if available."""
-        if self.last_offset < 0 or self.penultimate_offset < 0:
-            return None
-        return (
-            self.last_offset - self.penultimate_offset,
-            new_offset - self.last_offset,
-        )
-
 
 class RegionTracker:
     """FT + AT front end shared by spatial prefetchers."""
@@ -128,7 +116,6 @@ class RegionTracker:
         "geometry",
         "filter_table",
         "accumulation_table",
-        "_split",
         "_at_entries",
         "_ft_entries",
     )
@@ -149,7 +136,6 @@ class RegionTracker:
         # Hot-path bindings (observe() runs once per demand load of every
         # spatial prefetcher); the dicts are stable objects — ``clear``
         # empties them in place.
-        self._split = self.geometry.split
         self._at_entries = self.accumulation_table._entries
         self._ft_entries = self.filter_table._entries
 
@@ -173,7 +159,8 @@ class RegionTracker:
         deactivate anything (no per-access list allocation — this runs on
         every demand load of every spatial prefetcher).
         """
-        region, offset = self._split(address)
+        region, offset = divmod(address, self.region_size)
+        offset >>= BLOCK_SHIFT
 
         at_entries = self._at_entries
         at_entry = at_entries.get(region)
@@ -242,11 +229,8 @@ class RegionTracker:
         cache, which keeps pattern learning timely even when few regions are
         active concurrently.
         """
-        region = self.geometry.region_of_block(block)
-        entry = self.accumulation_table.pop(region)
-        if entry is None:
-            return None
-        return self._deactivate(entry)
+        entry = self._at_entries.pop(self.geometry.region_of_block(block), None)
+        return None if entry is None else self._deactivate(entry)
 
     def drain(self) -> List[DeactivationEvent]:
         """Deactivate every tracked region (used at end of simulation/tests)."""
@@ -319,20 +303,23 @@ def pattern_to_requests(
     exclude_offsets=(),
     limit: Optional[int] = None,
 ) -> List[int]:
-    """Convert a footprint bit vector into packed prefetch requests."""
-    blocks = blocks_per_region(region_size)
-    excluded = set(exclude_offsets)
+    """Convert a footprint bit vector into packed prefetch requests.
+
+    Walks the set in-region bits in ascending offset order; each request is
+    the region's packed base (``pack_prefetch``) plus ``offset << 1``.
+    """
+    blocks = region_size // BLOCK_SIZE
+    value = footprint & ((1 << blocks) - 1)
+    for offset in exclude_offsets:
+        if 0 <= offset < blocks:
+            value &= ~(1 << offset)
+    base = (region * region_size >> BLOCK_SHIFT) << 1 | (hint is PrefetchHint.L1)
     requests: List[int] = []
-    for offset in range(blocks):
-        if not footprint & (1 << offset):
-            continue
-        if offset in excluded:
-            continue
-        requests.append(
-            pack_prefetch(
-                address_from_region_offset(region, offset, region_size), hint
-            )
-        )
+    append = requests.append
+    while value:
+        low = value & -value
+        append(base + ((low.bit_length() - 1) << 1))
+        value ^= low
         if limit is not None and len(requests) >= limit:
             break
     return requests

@@ -12,6 +12,12 @@ implements a compact perceptron over (signature, delta, offset) features and
 trains it online from the hierarchy feedback embedded in the demand stream
 (a candidate is rewarded when a later demand touches it, penalised when it
 ages out unreferenced).
+
+The train path is hand-inlined for speed and stays the oracle for every
+tier.  ``_PatternEntry.best()`` is memoized: the memo is either ``None`` or
+the exact ``(delta, count / total)`` tuple ``max()`` over the current
+counters returns, and ``update()``, the only writer of the counters, clears
+it, so the tie rule (first inserted delta wins) and the halving stay exact.
 """
 
 from __future__ import annotations
@@ -21,14 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.tables import LRUTable
-from repro.sim.types import (
-    AccessResult,
-    BLOCK_SIZE,
-    PrefetchHint,
-    block_number,
-    block_offset_in_region,
-    region_number,
-)
+from repro.sim.types import AccessResult, BLOCK_SHIFT, BLOCK_SIZE
 
 
 @dataclass(slots=True)
@@ -45,8 +44,11 @@ class _PatternEntry:
 
     deltas: Dict[int, int] = field(default_factory=dict)
     total: int = 0
+    #: Memo of :meth:`best`; ``update`` clears it (see the module docstring).
+    _best: Optional[Tuple[int, float]] = field(default=None, repr=False, compare=False)
 
     def update(self, delta: int) -> None:
+        self._best = None
         self.deltas[delta] = self.deltas.get(delta, 0) + 1
         self.total += 1
         if self.total >= 64:
@@ -55,14 +57,20 @@ class _PatternEntry:
             self.total = sum(self.deltas.values())
 
     def best(self) -> Optional[Tuple[int, float]]:
-        if not self.deltas or self.total == 0:
-            return None
-        delta, count = max(self.deltas.items(), key=lambda item: item[1])
-        return delta, count / self.total
+        best = self._best
+        if best is None:
+            if not self.deltas or self.total == 0:
+                return None
+            delta, count = max(self.deltas.items(), key=lambda item: item[1])
+            best = self._best = (delta, count / self.total)
+        return best
 
 
 class _PerceptronFilter:
     """Tiny perceptron deciding whether a candidate prefetch is worthwhile."""
+
+    __slots__ = ("table_size", "threshold", "weights_signature", "weights_delta",
+                 "weights_offset", "_pending")
 
     def __init__(self, table_size: int = 1024, threshold: int = 0) -> None:
         self.table_size = table_size
@@ -84,9 +92,6 @@ class _PerceptronFilter:
         return (
             self.weights_signature[i] + self.weights_delta[j] + self.weights_offset[k]
         )
-
-    def accept(self, signature: int, delta: int, offset: int) -> bool:
-        return self.score(signature, delta, offset) >= self.threshold
 
     def record_issue(self, block: int, signature: int, delta: int, offset: int) -> None:
         evicted = self._pending.put(block, (signature, delta, offset))
@@ -127,8 +132,11 @@ class SPPPrefetcher(Prefetcher):
         max_lookahead: int = 6,
         use_perceptron: bool = True,
     ) -> None:
+        if region_size <= 0 or region_size % BLOCK_SIZE:
+            raise ValueError(f"region_size {region_size} is not a positive "
+                             f"multiple of {BLOCK_SIZE}")
         self.region_size = region_size
-        self.blocks = region_size // 64
+        self.blocks = region_size // BLOCK_SIZE
         self.signature_table: LRUTable[int, _SignatureEntry] = LRUTable(
             signature_table_entries
         )
@@ -142,81 +150,83 @@ class SPPPrefetcher(Prefetcher):
         self.filter = _PerceptronFilter()
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _update_signature(signature: int, delta: int) -> int:
-        return ((signature << 3) ^ (delta & 0x7F)) & 0xFFF
-
+    # The train path below works on the tables' dicts directly, touching
+    # exactly the entries ``LRUTable.get``/``put``/``pop`` would.
     def train(
         self, pc: int, address: int, cycle: int, result: Optional[AccessResult] = None
     ) -> List[int]:
-        block = block_number(address)
-        page = region_number(address, self.region_size)
-        offset = block_offset_in_region(address, self.region_size)
+        block = address >> BLOCK_SHIFT
+        blocks = self.blocks
+        page, offset = divmod(block, blocks)
 
-        if self.use_perceptron:
-            self.filter.record_demand(block)
+        ppf = self.filter
+        use_perceptron = self.use_perceptron
+        if use_perceptron:
+            features = ppf._pending._entries.pop(block, None)
+            if features is not None:
+                ppf._train(*features, reward=True)
 
-        entry = self.signature_table.get(page)
+        signatures = self.signature_table._entries
+        entry = signatures.get(page)
         if entry is None:
             self.signature_table.put(
                 page, _SignatureEntry(signature=0, last_offset=offset)
             )
             return []
+        signatures.move_to_end(page)
 
         delta = offset - entry.last_offset
         if delta == 0:
             return []
 
-        pattern = self.pattern_table.get(entry.signature)
+        signature = entry.signature
+        patterns = self.pattern_table._entries
+        pattern = patterns.get(signature)
         if pattern is None:
             pattern = _PatternEntry()
-            self.pattern_table.put(entry.signature, pattern)
+            self.pattern_table.put(signature, pattern)
+        else:
+            patterns.move_to_end(signature)
         pattern.update(delta)
 
-        entry.signature = self._update_signature(entry.signature, delta)
+        signature = ((signature << 3) ^ (delta & 0x7F)) & 0xFFF
+        entry.signature = signature
         entry.last_offset = offset
 
-        return self._lookahead(page, offset, entry.signature, pc)
-
-    def _lookahead(
-        self, page: int, offset: int, signature: int, pc: int
-    ) -> List[int]:
+        # Lookahead: walk the signature path from ``offset`` (no LRU
+        # updates), with the perceptron score and signature hash inlined.
+        base = page * blocks
+        table_size = ppf.table_size
+        weights_signature = ppf.weights_signature
+        weights_delta = ppf.weights_delta
+        weights_offset = ppf.weights_offset
         requests: List[int] = []
         confidence = 1.0
-        current_offset = offset
-        current_signature = signature
         for _step in range(self.max_lookahead):
-            pattern = self.pattern_table.get(current_signature, touch=False)
+            pattern = patterns.get(signature)
             if pattern is None:
                 break
-            best = pattern.best()
+            best = pattern._best or pattern.best()
             if best is None:
                 break
             delta, probability = best
             confidence *= probability
             if confidence < self.lookahead_threshold:
                 break
-            next_offset = current_offset + delta
-            if next_offset < 0 or next_offset >= self.blocks:
+            offset += delta
+            if offset < 0 or offset >= blocks:
                 break
-            target_block = page * self.blocks + next_offset
-            if not self.use_perceptron or self.filter.accept(
-                current_signature, delta, next_offset
+            if not use_perceptron or (
+                weights_signature[signature % table_size]
+                + weights_delta[(delta * 2654435761) % table_size]
+                + weights_offset[offset % 64]
+                >= ppf.threshold
             ):
-                hint = (
-                    PrefetchHint.L1
-                    if confidence >= self.fill_l1_threshold
-                    else PrefetchHint.L2
-                )
-                requests.append(
-                    self.request(target_block * BLOCK_SIZE, hint)
-                )
-                if self.use_perceptron:
-                    self.filter.record_issue(
-                        target_block, current_signature, delta, next_offset
-                    )
-            current_offset = next_offset
-            current_signature = self._update_signature(current_signature, delta)
+                target = base + offset
+                requests.append(target << 1 | (confidence >= self.fill_l1_threshold))
+                if use_perceptron:
+                    ppf.record_issue(target, signature, delta, offset)
+            signature = ((signature << 3) ^ (delta & 0x7F)) & 0xFFF
         return requests
 
     def storage_bits(self) -> int:

@@ -61,7 +61,7 @@ requires_compiled = pytest.mark.skipif(
 TWIN_PREFETCHERS = ("none", "vberti", "gaze", "pmp", "triangel")
 
 #: Registered designs the driver hosts through Python callbacks.
-PYTHON_HOSTED = ("sms", "spp-ppf", "bingo")
+PYTHON_HOSTED = ("sms", "spp-ppf", "bingo", "ipcp", "dspatch", "ip-stride")
 
 
 def _trace(generator="spatial", seed=11, length=1_200):
@@ -114,6 +114,24 @@ class TestDriverEquivalence:
         )
         _assert_identical(scalar, python, f"{prefetcher_name}, python batched")
         _assert_identical(scalar, compiled, f"{prefetcher_name}, compiled")
+
+    def test_non_default_spp(self):
+        # The goldens pin only spp-ppf's default configuration; a smaller
+        # page, a shorter lookahead and no perceptron take other branches
+        # of its inlined train path.
+        trace = _trace(generator="spatial", seed=29, length=1_500)
+        params = dict(use_perceptron=False, max_lookahead=3, region_size=2048)
+        runs = [
+            simulate_trace(
+                trace, prefetcher=create_prefetcher("spp-ppf", **params),
+                kernel=kernel, batch=batch,
+            )
+            for kernel, batch in (("python", "off"), ("python", "auto"),
+                                  ("compiled", "auto"))
+        ]
+        assert runs[0].prefetch.issued > 0
+        _assert_identical(runs[0], runs[1], "spp-ppf, python batched")
+        _assert_identical(runs[0], runs[2], "spp-ppf, compiled")
 
     @pytest.mark.parametrize("name", ["gaze+spp-ppf", "pmp+bingo"])
     def test_multilevel_pair(self, name):

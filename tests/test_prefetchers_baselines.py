@@ -274,6 +274,21 @@ class TestSPP:
         for block in blocks_of(requests):
             assert block // 64 == 60 // 64
 
+    @pytest.mark.parametrize("region_size", [0, 32, 96])
+    def test_rejects_region_size_not_a_block_multiple(self, region_size):
+        # 96 bytes would map prefetches outside the trained page; 0 would
+        # fail only at the first train.
+        with pytest.raises(ValueError, match="multiple of 64"):
+            SPPPrefetcher(region_size=region_size)
+
+    def test_lookahead_stays_in_small_page(self):
+        # A +1 stream through a 32-block page: the walk from offset 29
+        # must stop at the page's last block.
+        spp = SPPPrefetcher(use_perceptron=False, region_size=2048)
+        for offset in range(30):
+            requests = spp.train(pc=1, address=1000 * 2048 + offset * 64, cycle=offset)
+        assert blocks_of(requests) == [1000 * 32 + 30, 1000 * 32 + 31]
+
     def test_perceptron_filter_learns_negative(self):
         from repro.prefetchers.spp import _PerceptronFilter
 

@@ -12,15 +12,20 @@ from repro.prefetchers.spatial_common import (
     footprint_population,
     footprint_to_offsets,
     offsets_to_footprint,
+    pattern_to_requests,
     rotate_footprint,
 )
+from repro.prefetchers.spp import _PatternEntry
 from repro.prefetchers.tables import LRUTable, SetAssociativeTable
 from repro.sim.cache import Cache
 from repro.sim.config import CacheConfig, DRAMConfig
 from repro.sim.dram import DRAMModel
 from repro.sim.types import (
+    BLOCK_SIZE,
+    PrefetchHint,
     address_from_region_offset,
     block_offset_in_region,
+    pack_prefetch,
     region_number,
     unpack_prefetch,
 )
@@ -56,6 +61,63 @@ class TestFootprintProperties:
         address = address_from_region_offset(region, offset)
         assert region_number(address) == region
         assert block_offset_in_region(address) == offset
+
+
+def _reference_pattern_to_requests(
+    region, footprint, region_size, hint, exclude_offsets, limit
+):
+    """The offset-by-offset loop the set-bit walk must reproduce."""
+    excluded = set(exclude_offsets)
+    requests = []
+    for offset in range(region_size // BLOCK_SIZE):
+        if not footprint & (1 << offset) or offset in excluded:
+            continue
+        requests.append(
+            pack_prefetch(address_from_region_offset(region, offset, region_size), hint)
+        )
+        if limit is not None and len(requests) >= limit:
+            break
+    return requests
+
+
+class TestPatternToRequestsProperties:
+    @given(
+        region=st.integers(min_value=0, max_value=1 << 40),
+        # Up to 160 bits: bits at or above a region's block count must be
+        # ignored for every region size below.
+        footprint=st.integers(min_value=0, max_value=(1 << 160) - 1),
+        region_size=st.sampled_from([2048, 4096, 8192]),
+        hint=st.sampled_from([PrefetchHint.L1, PrefetchHint.L2]),
+        exclude_offsets=st.lists(st.integers(min_value=-4, max_value=140), max_size=6),
+        limit=st.one_of(st.none(), st.just(1), st.integers(min_value=1, max_value=140)),
+    )
+    @settings(max_examples=300)
+    def test_set_bit_walk_matches_offset_loop(
+        self, region, footprint, region_size, hint, exclude_offsets, limit
+    ):
+        args = (region, footprint, region_size, hint, exclude_offsets, limit)
+        assert pattern_to_requests(*args) == _reference_pattern_to_requests(*args)
+
+
+class TestSPPPatternMemoProperties:
+    @given(
+        # A three-delta alphabet makes count ties common; 64+ updates cross
+        # the periodic halving at least once.
+        steps=st.lists(
+            st.tuples(st.sampled_from([-2, 1, 3]), st.booleans()),
+            min_size=64, max_size=300,
+        )
+    )
+    @settings(max_examples=100)
+    def test_memoized_best_matches_max(self, steps):
+        entry = _PatternEntry()
+        assert entry.best() is None
+        for index, (delta, query) in enumerate(steps):
+            entry.update(delta)
+            if query or index == len(steps) - 1:
+                delta_max, count = max(entry.deltas.items(), key=lambda item: item[1])
+                assert entry.best() == (delta_max, count / entry.total)
+                assert entry.best() is entry.best()  # served from the memo
 
 
 class TestTableProperties:
