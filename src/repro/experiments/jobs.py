@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.hashing import content_hash
 from repro.prefetchers.registry import create_prefetcher
@@ -36,7 +36,6 @@ from repro.sim.config import SystemConfig
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import BATCH_MODES, KERNEL_MODES, simulate_trace
 from repro.sim.stats import MultiCoreStats, SimulationStats
-from repro.sim.types import MemoryAccess
 from repro.workloads.trace import TraceSpec
 
 #: Version salt mixed into every job key.  Bump this whenever the simulator,
@@ -240,74 +239,45 @@ JobResult = Union[SimulationStats, MultiCoreStats]
 # --------------------------------------------------------------------------- #
 # Worker processes are reused across jobs, so generating each trace once per
 # process (instead of once per job) removes the dominant non-simulation cost
-# of a grid.  The cache is keyed by trace content, bounded, and purely a
-# memoization — it never changes results.
-_TRACE_CACHE: "OrderedDict[Tuple[str, int], List[MemoryAccess]]" = OrderedDict()
-_TRACE_CACHE_LIMIT = 64
-
-#: Per-process memo of array-decoded traces (see :mod:`repro.sim.batch`),
-#: keyed like :data:`_TRACE_CACHE`.  Decode is pure, so this is — like the
-#: trace memo — an optimization that can never change results; it keeps
-#: repeated jobs over one trace (grids, bench repeats) from re-decoding.
+# of a grid.  The memo holds each trace in its one form, the decoded
+# columns every simulator loop reads (see :mod:`repro.sim.batch`).  It is
+# keyed by trace content, bounded, and purely a memoization — it never
+# changes results.
 _BATCHED_CACHE: "OrderedDict[Tuple[str, int], BatchedTrace]" = OrderedDict()
+_BATCHED_CACHE_LIMIT = 64
 
 
-def build_trace_cached(spec: TraceSpec, length: int) -> List[MemoryAccess]:
+def batched_trace_cached(spec: TraceSpec, length: int) -> BatchedTrace:
     """Build (or fetch from the per-process memo) the trace for ``spec``.
 
     Shared by :func:`execute_job` and :meth:`ExperimentRunner.trace_for`, so
     one process holds at most one copy of each generated trace.
     """
     key = (spec.content_key(), length)
-    cached = _TRACE_CACHE.get(key)
-    if cached is None:
-        cached = spec.build(length=length)
-        _TRACE_CACHE[key] = cached
-        while len(_TRACE_CACHE) > _TRACE_CACHE_LIMIT:
-            _TRACE_CACHE.popitem(last=False)
-    else:
-        _TRACE_CACHE.move_to_end(key)
-    return cached
-
-
-def batched_trace_cached(spec: TraceSpec, length: int) -> BatchedTrace:
-    """The array-decoded form of ``spec``'s trace, memoized per process.
-
-    Decodes from the materialized-trace memo when that entry already
-    exists (free), but otherwise from a *transient* build that is not
-    inserted into :data:`_TRACE_CACHE` — simulation jobs only ever read
-    the decoded arrays, and pinning the much larger access-object list
-    next to them would roughly triple the steady-state trace memory of
-    every worker process.  Consumers that need the list (the runner's
-    baseline helpers) populate the trace memo on demand as before.
-    """
-    key = (spec.content_key(), length)
     cached = _BATCHED_CACHE.get(key)
     if cached is None:
-        materialized = _TRACE_CACHE.get(key)
-        if materialized is None:
-            materialized = spec.build(length=length)
-        cached = BatchedTrace.from_accesses(materialized)
+        cached = spec.build(length=length)
         _BATCHED_CACHE[key] = cached
-        while len(_BATCHED_CACHE) > _TRACE_CACHE_LIMIT:
+        while len(_BATCHED_CACHE) > _BATCHED_CACHE_LIMIT:
             _BATCHED_CACHE.popitem(last=False)
     else:
         _BATCHED_CACHE.move_to_end(key)
     return cached
 
 
-def _trace_for_job(job: SimulationJob):
-    """The job's trace in the shape the simulator should consume.
+def _job_trace(spec: TraceSpec, length: int):
+    """One trace of a job, in the shape the simulator should consume.
 
-    Generator specs return the per-process memoized *decoded* trace, which
-    every inner loop reads (``batch`` only picks the loop).  File-backed
-    specs return a re-openable streaming handle so the simulation runs in
-    O(chunk) memory whatever the trace length (the content digest in the
-    job key keeps cache identity exact).
+    Generator specs return the per-process memoized trace, which every
+    inner loop reads (``batch`` only picks the loop).  File-backed specs
+    return a re-openable streaming handle, which single-core runs stream
+    and mixes replay by re-opening, so either runs in O(chunk) memory
+    whatever the trace length (the content digest in the job key keeps
+    cache identity exact).
     """
-    if job.spec.source is not None:
-        return job.spec.replayable(length=job.trace_length)
-    return batched_trace_cached(job.spec, job.trace_length)
+    if spec.source is not None:
+        return spec.replayable(length=length)
+    return batched_trace_cached(spec, length)
 
 
 def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
@@ -317,14 +287,7 @@ def _execute_mix_job(job: MixSimulationJob) -> MultiCoreStats:
     digest-pinned, and the round-robin schedule is deterministic.  Both
     schedules — Python and C — read the memoized decoded traces.
     """
-    traces = []
-    for spec in job.specs:
-        if spec.source is not None:
-            # Re-openable streaming handle: the mix replays it by
-            # re-opening, so file-backed cores run in O(chunk) memory.
-            traces.append(spec.replayable(length=job.trace_length))
-        else:
-            traces.append(batched_trace_cached(spec, job.trace_length))
+    traces = [_job_trace(spec, job.trace_length) for spec in job.specs]
     if job.is_baseline:
         prefetcher_factory = None
     else:
@@ -363,7 +326,7 @@ def execute_job(
     """
     if isinstance(job, MixSimulationJob):
         return _execute_mix_job(job)
-    trace = _trace_for_job(job)
+    trace = _job_trace(job.spec, job.trace_length)
     if job.is_baseline:
         prefetcher = None
     else:

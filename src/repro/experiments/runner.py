@@ -24,11 +24,11 @@ from repro.experiments.faults import FaultsArg
 from repro.experiments.jobs import (
     MixSimulationJob,
     SimulationJob,
-    build_trace_cached,
+    batched_trace_cached,
 )
+from repro.sim.batch import BatchedTrace
 from repro.sim.config import SystemConfig, default_system_config
 from repro.sim.stats import SimulationStats
-from repro.sim.types import MemoryAccess
 from repro.workloads.suites import trace_specs_for_suite
 from repro.workloads.trace import TraceSpec
 
@@ -271,13 +271,13 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # Trace and baseline management
     # ------------------------------------------------------------------ #
-    def trace_for(self, spec: TraceSpec) -> List[MemoryAccess]:
+    def trace_for(self, spec: TraceSpec) -> BatchedTrace:
         """Build (or fetch from the process-wide cache) the trace for ``spec``.
 
         Delegates to the same per-process memo the job worker uses, so a
         caller inspecting a trace shares the object the simulations saw.
         """
-        return build_trace_cached(spec, self.scale.trace_length)
+        return batched_trace_cached(spec, self.scale.trace_length)
 
     def _system_key(self, system: SystemConfig) -> str:
         """Full deterministic content key of ``system``.

@@ -1,13 +1,15 @@
-"""Array-decoded traces: the one trace form inside the simulator.
+"""Array-decoded traces: the one form a trace takes.
 
 Every simulator loop — the scalar reference loop, the batched Python loop,
 the C driver and the multi-core step — reads a :class:`BatchedTrace`: a
-trace *decoded once* into parallel arrays (addresses, PCs, instruction
-gaps, access kinds, plus cache-block numbers precomputed with the existing
-mask-based geometry), so the hot loops read plain integers by index
-without touching a single access object.  Streamed sources arrive as a
-:class:`ChunkedTraceStream`
-of bounded-size :class:`BatchedTrace` chunks.
+trace held as parallel arrays (addresses, PCs, instruction gaps, access
+kinds, plus cache-block numbers precomputed with the existing mask-based
+geometry), so the hot loops read plain integers by index without touching
+a single access object.  Synthetic generators
+(:mod:`repro.workloads.generators`) write these columns directly, file
+traces and access lists are decoded once by
+:meth:`BatchedTrace.from_accesses`, and streamed sources arrive as a
+:class:`ChunkedTraceStream` of bounded-size :class:`BatchedTrace` chunks.
 
 Layout notes:
 
@@ -21,13 +23,12 @@ Layout notes:
   inlined demand chain of the batched loop and of the C driver keys its
   set lookups on block numbers.
 * ``instruction_total`` (memory plus non-memory instructions) is computed
-  at decode time, so a run never pays a counting pass over a materialized
-  trace.
+  when the columns are built, so a run never pays a counting pass.
 
 A :class:`BatchedTrace` is also a read-only ``Sequence[MemoryAccess]``
-(items are reconstructed on demand) for code outside the simulator —
-trace statistics, format writers, tests.  No simulator loop uses that
-view.
+(items are reconstructed on demand, and it compares equal to any sequence
+of the same accesses) for code outside the simulator — trace statistics,
+format writers, ``trace export``, tests.  No simulator loop uses that view.
 """
 
 from __future__ import annotations
@@ -123,6 +124,14 @@ class BatchedTrace(Sequence):
                 pc=pc, address=address, access_type=kind_to_type[kind],
                 instr_gap=gap,
             )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, BatchedTrace):
+            columns = ("addresses", "pcs", "gaps", "kinds")
+            return all(getattr(self, c) == getattr(other, c) for c in columns)
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
 
     def __repr__(self) -> str:
         return (

@@ -98,6 +98,16 @@ class CacheHierarchy:
         self.l1d.eviction_listeners.append(self._count_useless_eviction)
         self.l2c.eviction_listeners.append(self._count_useless_eviction)
 
+    def unlink_listeners(self) -> None:
+        """Drop the eviction listeners of a hierarchy that will not run again.
+
+        They are bound methods of their owners (this hierarchy, and the
+        simulator or mix core forwarding L1D evictions), so they keep the
+        whole simulator in reference cycles until a full collection.
+        """
+        for cache in (self.l1d, self.l2c, self.llc):
+            cache.eviction_listeners.clear()
+
     # ------------------------------------------------------------------ #
     # Demand path
     # ------------------------------------------------------------------ #

@@ -265,6 +265,10 @@ class MultiCoreSimulator:
         )
         for context in contexts:
             result.per_core[context.core_id] = context.finalize()
+            # The contexts exist only for this run: break their reference
+            # cycles so they are freed as soon as it returns.
+            context.driver = None
+            context.hierarchy.unlink_listeners()
         return result
 
     def _run_compiled(self, contexts: List[_CoreContext]) -> None:

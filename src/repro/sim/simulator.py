@@ -1031,6 +1031,9 @@ def simulate_trace(
         warmup_instructions=warmup_instructions,
         batch=batch,
     )
+    # ``_hierarchy``: the ``hierarchy`` property would copy a compiled
+    # run's cache contents back out of C for nothing.
+    simulator._hierarchy.unlink_listeners()
     if record_tier:
         stats.extra["kernel_tier"] = simulator.kernel_tier_used
         if simulator.kernel_decline_reason:

@@ -2,7 +2,8 @@
 
 Each generator derives from
 :class:`repro.workloads.generators.base.WorkloadGenerator` and produces a
-deterministic (seeded) list of :class:`repro.sim.types.MemoryAccess`.
+deterministic (seeded) :class:`repro.sim.batch.BatchedTrace`, generated
+straight into its columns.
 ``GENERATORS`` maps short names to generator classes so traces can be
 described declaratively by :mod:`repro.workloads.suites`.
 """

@@ -1,21 +1,35 @@
-"""Base class for synthetic workload generators."""
+"""Base class for synthetic workload generators.
+
+Generators emit plain ``(pc, address, gap, kind)`` records and
+:meth:`WorkloadGenerator.generate` collects them straight into the columns
+of a :class:`~repro.sim.batch.BatchedTrace`, the one trace form the
+simulator reads.  No per-access object is built; code that wants
+:class:`~repro.sim.types.MemoryAccess` items gets them on demand from the
+trace's sequence view.
+"""
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Iterable, List, Optional
+from itertools import islice
+from typing import Iterable, List, Tuple
 
-from repro.sim.types import AccessType, MemoryAccess
+from repro.sim.batch import KIND_LOAD, BatchedTrace
+from repro.sim.types import BLOCK_SHIFT
+
+#: One generated access: ``(pc, address, gap, kind)``, with ``kind`` encoded
+#: like :attr:`BatchedTrace.kinds <repro.sim.batch.BatchedTrace>`.
+Access = Tuple[int, int, int, int]
 
 
 class WorkloadGenerator(abc.ABC):
     """A deterministic, seeded producer of memory-access traces.
 
-    Subclasses implement :meth:`_generate`, yielding
-    :class:`~repro.sim.types.MemoryAccess` records.  The base class provides
-    the seeded RNG, common address-layout helpers and the public
-    :meth:`generate` entry point that enforces the requested length.
+    Subclasses implement :meth:`_generate`, yielding :data:`Access` records
+    built by :meth:`access`.  The base class provides the seeded RNG,
+    common address-layout helpers and the public :meth:`generate` entry
+    point that enforces the requested length.
     """
 
     #: Short name used in trace specifications and reports.
@@ -39,6 +53,11 @@ class WorkloadGenerator(abc.ABC):
         self.blocks_per_region = region_size // 64
         self.rng = random.Random(seed)
         self._pc_counter = 0x400000 + (seed & 0xFFFF) * 0x100
+        # Non-memory instruction gaps are drawn uniformly from
+        # [0.5 * mean, 1.5 * mean + 1]; ``randrange(low, stop)`` is exactly
+        # ``randint(low, stop - 1)``.  A zero mean draws nothing (stop 0).
+        self._gap_low = max(0, int(mean_instr_gap * 0.5))
+        self._gap_stop = int(mean_instr_gap * 1.5) + 2 if mean_instr_gap else 0
 
     # ------------------------------------------------------------------ #
     # Helpers for subclasses
@@ -48,28 +67,12 @@ class WorkloadGenerator(abc.ABC):
         self._pc_counter += 4
         return self._pc_counter
 
-    def instr_gap(self) -> int:
-        """Draw a non-memory instruction gap around the configured mean."""
-        if self.mean_instr_gap == 0:
-            return 0
-        low = max(0, int(self.mean_instr_gap * 0.5))
-        high = int(self.mean_instr_gap * 1.5) + 1
-        return self.rng.randint(low, high)
-
-    def access(
-        self,
-        pc: int,
-        address: int,
-        access_type: AccessType = AccessType.LOAD,
-        gap: Optional[int] = None,
-    ) -> MemoryAccess:
-        """Build a :class:`MemoryAccess` with a drawn instruction gap."""
-        return MemoryAccess(
-            pc=pc,
-            address=address,
-            access_type=access_type,
-            instr_gap=self.instr_gap() if gap is None else gap,
-        )
+    def access(self, pc: int, address: int, kind: int = KIND_LOAD) -> Access:
+        """One access record, with its instruction gap drawn now."""
+        stop = self._gap_stop
+        if stop:
+            return (pc, address, self.rng.randrange(self._gap_low, stop), kind)
+        return (pc, address, 0, kind)
 
     def region_base(self, region: int) -> int:
         """Byte address of the start of ``region``."""
@@ -78,22 +81,37 @@ class WorkloadGenerator(abc.ABC):
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def generate(self) -> List[MemoryAccess]:
-        """Produce exactly ``self.length`` memory accesses."""
-        trace: List[MemoryAccess] = []
-        generator = self._generate()
-        for access in generator:
-            trace.append(access)
-            if len(trace) >= self.length:
-                break
-        # If the generator ran dry, replay deterministic copies of itself.
-        while len(trace) < self.length:
-            for access in self._generate():
-                trace.append(access)
-                if len(trace) >= self.length:
-                    break
-        return trace[: self.length]
+    def generate(self) -> BatchedTrace:
+        """Produce exactly ``self.length`` accesses as decoded columns.
+
+        A finite :meth:`_generate` is replayed from a fresh pass until the
+        length is reached; a pass that yields nothing raises
+        :class:`ValueError` instead of spinning.
+        """
+        addresses: List[int] = []
+        pcs: List[int] = []
+        gaps: List[int] = []
+        kinds = bytearray()
+        add_address = addresses.append
+        add_pc = pcs.append
+        add_gap = gaps.append
+        add_kind = kinds.append
+        while len(addresses) < self.length:
+            before = len(addresses)
+            for pc, address, gap, kind in islice(
+                self._generate(), self.length - before
+            ):
+                add_pc(pc)
+                add_address(address)
+                add_gap(gap)
+                add_kind(kind)
+            if len(addresses) == before:
+                raise ValueError(f"{type(self).__name__} generated an empty pass")
+        blocks = [address >> BLOCK_SHIFT for address in addresses]
+        return BatchedTrace(
+            addresses, pcs, gaps, kinds, blocks, sum(gaps) + len(gaps)
+        )
 
     @abc.abstractmethod
-    def _generate(self) -> Iterable[MemoryAccess]:
-        """Yield memory accesses (may be finite or infinite)."""
+    def _generate(self) -> Iterable[Access]:
+        """Yield access records (may be finite or infinite)."""

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.sim.types import MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.workloads.generators.base import Access, WorkloadGenerator
 
 
 class GraphWorkload(WorkloadGenerator):
@@ -68,6 +67,8 @@ class GraphWorkload(WorkloadGenerator):
             raise ValueError(f"unknown graph algorithm: {algorithm!r}")
         if phase not in ("init", "compute"):
             raise ValueError(f"unknown phase: {phase!r}")
+        if num_vertices < 1:
+            raise ValueError("num_vertices must be >= 1")
         self.num_vertices = num_vertices
         self.avg_degree = avg_degree
         self.algorithm = algorithm
@@ -112,7 +113,7 @@ class GraphWorkload(WorkloadGenerator):
         return self._FRONTIER_BASE * self.region_size + index * 8
 
     # Phases ---------------------------------------------------------------- #
-    def _generate_init_phase(self) -> Iterable[MemoryAccess]:
+    def _generate_init_phase(self) -> Iterable[Access]:
         """Data preparation: stream the offsets and edge arrays in order."""
         edge_index = 0
         while True:
@@ -129,7 +130,7 @@ class GraphWorkload(WorkloadGenerator):
         size = max(8, int(self.num_vertices * min(0.4, 0.02 * (iteration + 1))))
         return sorted(self.rng.sample(range(self.num_vertices), k=min(size, self.num_vertices)))
 
-    def _generate_compute_phase(self) -> Iterable[MemoryAccess]:
+    def _generate_compute_phase(self) -> Iterable[Access]:
         """Frontier traversal: streaming frontier/edges + irregular data."""
         iteration = 0
         edge_cursor = 0
@@ -150,7 +151,7 @@ class GraphWorkload(WorkloadGenerator):
                     yield self.access(self.pc_data_load, self._data_address(neighbour))
             iteration += 1
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterable[Access]:
         if self.phase == "init":
             return self._generate_init_phase()
         return self._generate_compute_phase()

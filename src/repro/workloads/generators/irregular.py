@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List
 
-from repro.sim.types import MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.workloads.generators.base import Access, WorkloadGenerator
 
 
 class PointerChaseWorkload(WorkloadGenerator):
@@ -67,7 +66,7 @@ class PointerChaseWorkload(WorkloadGenerator):
         self._hot_pc = self.new_pc()
         self._hot_blocks = [0xF0000 + i for i in range(16)]
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterable[Access]:
         node = 0
         while True:
             if self.rng.random() < self.locality_fraction:
@@ -165,7 +164,7 @@ class CloudWorkload(WorkloadGenerator):
         self._next_region += 1 + self.rng.randrange(4)
         return self._next_region
 
-    def _handler_request(self) -> List[MemoryAccess]:
+    def _handler_request(self) -> List[Access]:
         handler = self.rng.choice(self.handlers)
         region = self._new_region()
         base = self.region_base(region)
@@ -174,18 +173,18 @@ class CloudWorkload(WorkloadGenerator):
             for offset in handler.footprint_offsets
         ]
 
-    def _irregular_access(self) -> MemoryAccess:
+    def _irregular_access(self) -> Access:
         block = 0x600000 + self.rng.randrange(self._irregular_span)
         return self.access(self._irregular_pc, block * 64)
 
-    def _stride_access(self) -> MemoryAccess:
+    def _stride_access(self) -> Access:
         self._stride_position += 1
         address = 0x900000 * 64 + self._stride_position * 64
         return self.access(self._stride_pc, address)
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterable[Access]:
         # In-flight handler requests, interleaved with irregular traffic.
-        active: List[List[MemoryAccess]] = [
+        active: List[List[Access]] = [
             self._handler_request() for _ in range(self.concurrency)
         ]
         cursors = [0] * self.concurrency

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.sim.types import MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.workloads.generators.base import Access, WorkloadGenerator
 
 
 class MixedPhaseWorkload(WorkloadGenerator):
@@ -65,7 +64,7 @@ class MixedPhaseWorkload(WorkloadGenerator):
         self._next_frontier_region = 0x500000 + (seed % 53) * 0x1000
 
     # ------------------------------------------------------------------ #
-    def _dense_region(self) -> List[MemoryAccess]:
+    def _dense_region(self) -> List[Access]:
         """A fully dense streaming region (trigger 0, second 1, all blocks)."""
         self._next_stream_region += 1
         base = self.region_base(self._next_stream_region)
@@ -74,7 +73,7 @@ class MixedPhaseWorkload(WorkloadGenerator):
             for offset in range(self.blocks_per_region)
         ]
 
-    def _prefix_region(self) -> List[MemoryAccess]:
+    def _prefix_region(self) -> List[Access]:
         """A region that starts like a stream but stops after a short prefix."""
         self._next_frontier_region += 1
         base = self.region_base(self._next_frontier_region)
@@ -83,7 +82,7 @@ class MixedPhaseWorkload(WorkloadGenerator):
             for offset in range(self.prefix_blocks)
         ]
 
-    def _sparse_region(self) -> List[MemoryAccess]:
+    def _sparse_region(self) -> List[Access]:
         """A region with a small scattered footprint (irregular neighbour data)."""
         self._next_frontier_region += 1
         base = self.region_base(self._next_frontier_region)
@@ -91,11 +90,11 @@ class MixedPhaseWorkload(WorkloadGenerator):
         offsets = sorted(self.rng.sample(range(self.blocks_per_region), k=count))
         return [self.access(self._sparse_pc, base + offset * 64) for offset in offsets]
 
-    def _irregular_access(self) -> MemoryAccess:
+    def _irregular_access(self) -> Access:
         block = 0x700000 + self.rng.randrange(0x200000)
         return self.access(self._irregular_pc, block * 64)
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterable[Access]:
         visits = 0
         dense_bias = self.dense_fraction
         while True:

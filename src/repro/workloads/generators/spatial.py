@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
-from repro.sim.types import MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.workloads.generators.base import Access, WorkloadGenerator
 
 
 @dataclass
@@ -126,7 +125,7 @@ class SpatialRecurrenceWorkload(WorkloadGenerator):
         self._next_region += 1 + self.rng.randrange(3)
         return self._next_region
 
-    def _region_instance(self) -> List[MemoryAccess]:
+    def _region_instance(self) -> List[Access]:
         """Materialise one region instance as an ordered access list."""
         region = self._new_region_number()
         base = self.region_base(region)
@@ -138,16 +137,16 @@ class SpatialRecurrenceWorkload(WorkloadGenerator):
             cls = self.rng.choice(self.classes)
             offsets = cls.offsets
             pc = cls.pc
-        accesses: List[MemoryAccess] = []
+        accesses: List[Access] = []
         for offset in offsets:
             for element in range(self.accesses_per_block):
                 accesses.append(self.access(pc, base + offset * 64 + element * 8))
         return accesses
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterable[Access]:
         # Maintain ``concurrency`` in-flight regions and interleave their
         # accesses round-robin, mimicking overlapping loop iterations.
-        active: List[List[MemoryAccess]] = [
+        active: List[List[Access]] = [
             self._region_instance() for _ in range(self.concurrency)
         ]
         cursors = [0] * self.concurrency

@@ -9,10 +9,9 @@ Gaze's streaming module (DPCT/DC + two-stage aggressiveness) targets.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
-from repro.sim.types import AccessType, MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.workloads.generators.base import Access, WorkloadGenerator
 
 
 class StreamingWorkload(WorkloadGenerator):
@@ -63,7 +62,7 @@ class StreamingWorkload(WorkloadGenerator):
 
     def _region_accesses(
         self, array_index: int, region_index: int
-    ) -> Iterable[MemoryAccess]:
+    ) -> Iterable[Access]:
         """Yield a fully dense, in-order sweep of one region."""
         region = self._array_base_regions[array_index] + region_index
         base = self.region_base(region)
@@ -72,7 +71,7 @@ class StreamingWorkload(WorkloadGenerator):
             for element in range(self.accesses_per_block):
                 yield self.access(pc, base + offset * 64 + element * 8)
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterable[Access]:
         region_index = 0
         while True:
             for array_index in range(self.num_arrays):
@@ -111,6 +110,8 @@ class StridedWorkload(WorkloadGenerator):
         )
         if stride_blocks < 1:
             raise ValueError("stride_blocks must be >= 1")
+        if num_streams < 1:
+            raise ValueError("num_streams must be >= 1")
         self.stride_blocks = stride_blocks
         self.num_streams = num_streams
         self._stream_base_regions = [
@@ -121,7 +122,7 @@ class StridedWorkload(WorkloadGenerator):
             self.rng.randrange(stride_blocks) for _ in range(num_streams)
         ]
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterable[Access]:
         positions = [0] * self.num_streams
         while True:
             for stream in range(self.num_streams):

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.sim.types import AccessType, MemoryAccess
-from repro.workloads.generators.base import WorkloadGenerator
+from repro.sim.batch import KIND_STORE
+from repro.workloads.generators.base import Access, WorkloadGenerator
 
 
 class TemporalPointerChaseWorkload(WorkloadGenerator):
@@ -88,7 +88,7 @@ class TemporalPointerChaseWorkload(WorkloadGenerator):
         self._chase_pc = self.new_pc()
         self._noise_pc = self.new_pc()
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterable[Access]:
         node = self._head
         steps = 0
         while True:
@@ -162,7 +162,7 @@ class RingBufferWorkload(WorkloadGenerator):
         slot = item_index % self.slots
         return (self._ring_base_block + slot * self.item_blocks + block) * 64
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterable[Access]:
         produced = self.lag  # start with the consumer's lag already queued
         consumed = 0
         producing = True
@@ -174,7 +174,7 @@ class RingBufferWorkload(WorkloadGenerator):
                     yield self.access(
                         self._producer_pc,
                         self._slot_address(produced, block),
-                        AccessType.STORE,
+                        KIND_STORE,
                     )
                 produced += 1
             else:
@@ -268,7 +268,7 @@ class HashProbeWorkload(WorkloadGenerator):
         # Power-law popularity: u**s compresses the draw toward index 0.
         return int(self.num_keys * (self.rng.random() ** self.zipf_s))
 
-    def _generate(self) -> Iterable[MemoryAccess]:
+    def _generate(self) -> Iterable[Access]:
         while True:
             if self.miss_fraction and self.rng.random() < self.miss_fraction:
                 bucket = self._bucket_base_block + self.rng.randrange(

@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.hashing import content_hash
+from repro.sim.batch import BatchedTrace
 from repro.sim.types import MemoryAccess
 from repro.workloads import formats as trace_formats
 from repro.workloads.formats import (
@@ -199,37 +200,25 @@ class TraceSpec:
         """
         return content_hash(self.identity_dict())
 
-    def build(self, length: Optional[int] = None) -> List[MemoryAccess]:
-        """Materialize the trace as a list (generated or loaded from file)."""
-        return list(self.stream(length=length))
+    def build(self, length: Optional[int] = None) -> BatchedTrace:
+        """The trace as columns: generated into them, or decoded from file."""
+        length = length if length is not None else self.length
+        if self.source is not None:
+            return BatchedTrace.from_accesses(self.stream(length=length))
+        return self._generate(length)
 
     def stream(self, length: Optional[int] = None) -> Iterator[MemoryAccess]:
         """Yield the trace's accesses lazily.
 
         For file-backed specs this streams straight off disk in O(1)
-        memory; generator specs materialize first (generators are batch
-        producers), so prefer :meth:`replayable` when the consumer can
-        handle both shapes.
+        memory; generator specs iterate the sequence view of :meth:`build`
+        (generators are batch producers), so prefer :meth:`replayable` when
+        the consumer can handle both shapes.
         """
         length = length if length is not None else self.length
         if self.source is not None:
             return slice_accesses(iter(self.source.open()), 0, length)
         return iter(self._generate(length))
-
-    def batched(self, length: Optional[int] = None):
-        """The trace decoded into parallel arrays for the batched kernel.
-
-        Returns a :class:`repro.sim.batch.BatchedTrace`.  File-backed specs
-        decode in one streaming pass (the arrays hold the whole trace, so
-        this trades the O(1) memory of :meth:`replayable` for the batched
-        kernel's throughput); generator specs decode the generated list.
-        """
-        from repro.sim.batch import BatchedTrace
-
-        length = length if length is not None else self.length
-        if self.source is not None:
-            return BatchedTrace.from_accesses(self.stream(length=length))
-        return BatchedTrace.from_accesses(self._generate(length))
 
     def replayable(self, length: Optional[int] = None):
         """The trace as a replayer-friendly source.
@@ -237,7 +226,7 @@ class TraceSpec:
         File-backed specs return a re-openable
         :class:`~repro.workloads.formats.TraceFile` (sliced to ``length``)
         that the simulator streams in O(1) memory; generator specs return
-        the materialized list.
+        the generated :class:`~repro.sim.batch.BatchedTrace`.
         """
         length = length if length is not None else self.length
         if self.source is not None:
@@ -246,7 +235,7 @@ class TraceSpec:
             )
         return self._generate(length)
 
-    def _generate(self, length: int) -> List[MemoryAccess]:
+    def _generate(self, length: int) -> BatchedTrace:
         """Run the configured generator (generator-backed specs only)."""
         from repro.workloads.generators import GENERATORS
 
@@ -266,7 +255,7 @@ def make_trace(
     seed: int = 0,
     length: int = 40_000,
     **params,
-) -> List[MemoryAccess]:
+) -> BatchedTrace:
     """Build a trace either from a :class:`TraceSpec` or a generator name.
 
     When ``kind`` is a :class:`TraceSpec`, the spec's own length and

@@ -290,13 +290,13 @@ class TestStreamedMaterializedBatchedEquality:
                                       batch="off")
         streamed = simulate_trace(spec.replayable(), prefetcher=prefetcher(),
                                   batch="off")
-        batched = simulate_trace(spec.batched(), prefetcher=prefetcher())
+        batched = simulate_trace(spec.build(), prefetcher=prefetcher())
         chunked = simulate_trace(spec.replayable(),
                                     prefetcher=prefetcher())
         _assert_identical(materialized, streamed,
                           f"{prefetcher_name}, streamed")
         _assert_identical(materialized, batched,
-                          f"{prefetcher_name}, spec.batched()")
+                          f"{prefetcher_name}, spec.build()")
         _assert_identical(materialized, chunked,
                           f"{prefetcher_name}, batch=auto over a stream")
 

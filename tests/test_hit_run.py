@@ -131,7 +131,7 @@ class TestChunkBoundaryEquality:
             "streamed scalar",
         )
         _assert_identical(
-            scalar, simulate_trace(spec.batched()), "spec.batched()"
+            scalar, simulate_trace(spec.build()), "spec.build()"
         )
         _assert_identical(
             scalar, simulate_trace(spec.replayable()),
